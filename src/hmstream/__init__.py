@@ -59,7 +59,7 @@ from .statevector import (
     projector_probability,
     shot_rng,
 )
-from .wire import StreamServer, StreamSession, connect_and_iterate
+from .wire import StreamServer, StreamSession
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 
-from .compiler import ceil_log2
+from .compiler import SketchLayout, ceil_log2
 from .errors import DomainError
 
 
@@ -61,6 +61,8 @@ def min_copies_general(p_correct: float, p_wrong: float, target: float = 2.0 / 3
                        k_max: int = 2001) -> int | None:
     """Smallest k whose vote reaches `target`; None when no k <= k_max does
     (a zero correct/wrong gap never exceeds one half)."""
+    if target > 0.5 and p_correct <= p_wrong:
+        return None  # wrong answers are at least as likely: success <= 1/2 for every k
     for k in range(1, k_max + 1):
         if vote_success_general(k, p_correct, p_wrong) >= target:
             return k
@@ -101,4 +103,4 @@ def total_quantum_space(n: int, copies: int) -> int:
     """Total sketch qubits for `copies` parallel sketches on n vertices."""
     if n < 2 or copies < 1:
         raise DomainError("need n >= 2 and at least one copy")
-    return copies * (ceil_log2(n) + 2)
+    return copies * SketchLayout(ceil_log2(n)).width

@@ -16,7 +16,6 @@ import os
 import signal
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -164,11 +163,14 @@ def cmd_serve(args) -> int:
 # run
 
 
-def _run_networked_shot(endpoint: str, rng, noise, retries: int):
+def _run_networked_shot(endpoint: str, seed: int, index: int, noise, retries: int):
+    """One shot as one server session. Every attempt starts from a fresh
+    shot_rng(seed, index), so a retried shot replays the dropped one."""
     last_exc: Exception | None = None
     for _ in range(retries + 1):
+        rng = shot_rng(seed, index)
         try:
-            with wire.connect_and_iterate(endpoint) as session:
+            with wire.StreamSession(endpoint) as session:
                 outcome = runners.run_quantum_shot(session.updates(), session.n, rng, noise=noise)
                 session.report(outcome.verdict, outcome.terminating_step)
                 return outcome
@@ -178,14 +180,10 @@ def _run_networked_shot(endpoint: str, rng, noise, retries: int):
 
 
 def cmd_run(args) -> int:
-    if args.shots < 1:
-        raise DomainError("shot count must be >= 1")
     instance = _instance_from_args(args)
     noise = NoiseConfig(args.noise_p, args.noise_seed)
     endpoint = args.endpoint or os.environ.get(ENDPOINT_ENV)
     mode = "local" if args.local or not endpoint else "tcp"
-    start = time.perf_counter()
-    aborted = 0
     if mode == "local":
         stream = instances.to_stream(instance)
 
@@ -195,27 +193,9 @@ def cmd_run(args) -> int:
 
     else:
         def one(i: int):
-            return _run_networked_shot(endpoint, shot_rng(args.seed, i), noise, args.retries)
+            return _run_networked_shot(endpoint, args.seed, i, noise, args.retries)
 
-    outcomes = []
-    if args.jobs > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(one, i) for i in range(args.shots)]
-            for fut in futures:
-                try:
-                    outcomes.append(fut.result())
-                except TransportError:
-                    aborted += 1
-    else:
-        for i in range(args.shots):
-            try:
-                outcomes.append(one(i))
-            except TransportError:
-                aborted += 1
-    wall = time.perf_counter() - start
-    if not outcomes:
-        raise TransportError("every shot aborted")
-    stats = runners.ShotStats.from_outcomes(outcomes, wall_seconds=wall, aborted=aborted)
+    stats = runners.run_shots(one, args.shots)
     doc = {
         "schema": "hmstream.results/1",
         "instance": {
@@ -227,13 +207,13 @@ def cmd_run(args) -> int:
         "mode": mode,
         "endpoint": endpoint if mode == "tcp" else None,
         "shots": stats.shots,
-        "aborted": aborted,
+        "aborted": stats.aborted,
         "counts": stats.counts,
         "p_hat": stats.proportions(instance.case),
         "seed": args.seed,
         "noise": {"two_qubit_depolarizing_p": noise.two_qubit_depolarizing_p,
                   "rng_seed": noise.rng_seed},
-        "timing": {"wall_ms": wall * 1000.0},
+        "timing": {"wall_ms": stats.wall_seconds * 1000.0},
     }
     if args.exact:
         dist = runners.exact_distribution(instance)
@@ -273,7 +253,7 @@ def cmd_figure2b(args) -> int:
     for n, noise_level, dist in distributions:
         copies = boosting.min_copies_general(dist.p_correct, dist.p_wrong,
                                              target=args.target, k_max=args.k_max)
-        width = compiler.ceil_log2(n) + 2
+        width = boosting.total_quantum_space(n, copies=1)
         rows.append([
             n, noise_level,
             f"{dist.p_correct:.6f}", f"{dist.p_wrong:.6f}", f"{dist.p_null:.6f}",
@@ -300,7 +280,7 @@ def cmd_counts(args) -> int:
         forms = compiler.physical_closed_forms(n)
         L = compiler.log2_exact(n)
         rows.append([n, logical.space, logical.h, logical.cnot, logical.mcx[L],
-                     logical.mcx[L + 2], physical.t, physical.h, physical.cnot,
+                     logical.mcx[logical.space], physical.t, physical.h, physical.cnot,
                      forms["cnot_low"], forms["cnot_high"]])
     if args.format == "json":
         docs = [dict(zip(header, row)) for row in rows]
@@ -323,12 +303,16 @@ def cmd_vote(args) -> int:
     print(f"alpha={args.alpha} min_copies={copies}")
     rows = []
     if args.alpha_grid:
-        lo, hi, step = (float(v) for v in args.alpha_grid.split(":"))
-        a = lo
-        while a <= hi + 1e-12:
-            k = boosting.min_copies(a, target=args.target)
-            rows.append([f"{a:.4f}", k, math.ceil(1.5 / a)])
-            a += step
+        try:
+            lo, hi, step = (Fraction(v) for v in args.alpha_grid.split(":"))
+        except (ValueError, ZeroDivisionError):
+            raise DomainError(f"--alpha-grid {args.alpha_grid!r} is not lo:hi:step") from None
+        if step <= 0:
+            raise DomainError("--alpha-grid step must be positive")
+        for i in range(int((hi - lo) // step) + 1):
+            a = lo + i * step
+            k = boosting.min_copies(float(a), target=args.target)
+            rows.append([f"{float(a):.4f}", k, math.ceil(Fraction(3, 2) / a)])
         _write_text(args.out, _csv_text(["alpha", "min_copies", "copies_bound"], rows))
     if args.k_list:
         ks = [int(k) for k in args.k_list.split(",")]
@@ -416,7 +400,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=_positive_int, default=2000)
     p.add_argument("--endpoint", help=f"host:port (default ${ENDPOINT_ENV})")
     p.add_argument("--local", action="store_true", help="bypass the network")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--retries", type=int, default=2)
     p.add_argument("--noise-p", type=float, default=0.0)
     p.add_argument("--noise-seed", type=int, default=0)

@@ -26,12 +26,11 @@ from dataclasses import dataclass, field
 from .errors import DecompositionError, DomainError
 from .statevector import GateOp, GateTally, cx, h, mcx, t, tdg, x
 
-PVM_QUERY_ORDER = ((0, 0), (0, 1), (1, 0), (1, 1))
-
 
 def log2_exact(n: int) -> int:
-    if n < 1 or n & (n - 1):
-        raise DomainError(f"{n} is not a power of two")
+    """L = log2 n for a sketchable vertex count: a power of two >= 4."""
+    if n < 4 or n & (n - 1):
+        raise DomainError(f"vertex count {n} must be a power of two >= 4")
     return n.bit_length() - 1
 
 
@@ -176,7 +175,12 @@ class GateCounts:
 
 @dataclass(frozen=True)
 class SketchLayout:
-    """Qubit roles for a sketch over n = 2**vertex_bits graph vertices."""
+    """Qubit roles for a sketch over n = 2**vertex_bits graph vertices.
+
+    A basis state |v, label, parity> puts vertex v on qubits
+    0..vertex_bits-1 (qubit 0 least significant), then the label and the
+    parity qubit; the two measurement ancillas sit above the sketch.
+    """
 
     vertex_bits: int
 
@@ -207,6 +211,19 @@ class SketchLayout:
     def vertex_controls(self, v: int) -> tuple[tuple[int, int], ...]:
         return tuple((q, (v >> q) & 1) for q in range(self.vertex_bits))
 
+    def index(self, v: int, label: int, parity: int) -> int:
+        """Basis index of |v, label, parity> on the sketch qubits."""
+        return v | (label << self.label) | (parity << self.parity)
+
+    def element(self, v: int, label: int, parity: int) -> str:
+        """Sketch element (character i is qubit i) of |v, label, parity>."""
+        i = self.index(v, label, parity)
+        return "".join("1" if i >> q & 1 else "0" for q in range(self.width))
+
+    def elements(self) -> list[str]:
+        """The sketched set {(v, 0, b)}: every vertex, label 0, both parities."""
+        return [self.element(v, 0, b) for b in (0, 1) for v in range(1 << self.vertex_bits)]
+
 
 def worst_case_ops(n: int) -> tuple[list[GateOp], SketchLayout]:
     """Gate stream of the never-terminating sketch execution at alpha = 1/4.
@@ -215,10 +232,8 @@ def worst_case_ops(n: int) -> tuple[list[GateOp], SketchLayout]:
     per sketch qubit), every vertex update fires, and the basis change after
     the final query is elided.
     """
-    L = log2_exact(n)
-    if n < 4:
-        raise DomainError("graph size must be at least 4")
-    lay = SketchLayout(L)
+    lay = SketchLayout(log2_exact(n))
+    L = lay.vertex_bits
     k = lay.width
     pivot = 0
     zero_sel = tuple((q, 0) for q in range(k))
@@ -251,15 +266,13 @@ def tally_ops(ops) -> GateTally:
 
 def logical_counts_hm(n: int) -> GateCounts:
     """Closed-form worst-case logical gate counts at alpha = 1/4."""
-    L = log2_exact(n)
-    if n < 4:
-        raise DomainError("graph size must be at least 4")
+    lay = SketchLayout(log2_exact(n))
     return GateCounts(
-        h=2 * n + L,
+        h=2 * n + lay.vertex_bits,
         x=2 * n,
-        cnot=(2 * n - 1) * (L + 2),
-        mcx={L: n, L + 2: 2 * n},
-        space=L + 2,
+        cnot=(2 * n - 1) * lay.width,
+        mcx={lay.vertex_bits: n, lay.width: 2 * n},
+        space=lay.width,
     )
 
 

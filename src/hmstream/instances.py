@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .compiler import log2_exact
 from .errors import DomainError
 
 CASES = ("yes", "no")
@@ -57,8 +58,7 @@ class HMInstance:
 
 
 def _check_params(n: int, alpha: Fraction) -> int:
-    if n < 4 or n & (n - 1):
-        raise DomainError(f"vertex count {n} must be a power of two >= 4")
+    log2_exact(n)
     if not 0 <= alpha <= Fraction(1, 4):
         raise DomainError(f"alpha {alpha} outside [0, 1/4]")
     m = alpha * n

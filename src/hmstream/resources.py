@@ -29,7 +29,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .compiler import ceil_log2
+from .boosting import total_quantum_space
+from .compiler import toffoli_count_hm
 from .errors import DomainError
 from .runners import classical_lower_bound, classical_sketch_size
 
@@ -114,24 +115,18 @@ class ResourceEstimate:
     approximate: bool = False
 
 
-def toffoli_per_copy(n: int) -> int:
-    if n < 4:
-        raise DomainError("graph size must be at least 4")
-    return 3 * n * ceil_log2(n) + 4 * n
-
-
 def logical_qubits(n: int, copies: int = 7) -> int:
     """Logical qubits across all voting copies."""
     if n < 4 or copies < 1:
         raise DomainError("need n >= 4 and at least one copy")
-    return copies * (2 * (ceil_log2(n) + 2) - 1)
+    return 2 * total_quantum_space(n, copies) - copies
 
 
 def ccz_infidelity_target(n: int, gamma: float = 0.9975) -> float:
     """Per-gate infidelity budget so one sketch run keeps fidelity gamma."""
     if not 0.0 < gamma < 1.0:
         raise DomainError(f"gamma {gamma} outside (0, 1)")
-    return (1.0 - gamma) / toffoli_per_copy(n)
+    return (1.0 - gamma) / toffoli_count_hm(n, copies=1)
 
 
 def surface_code_distance(infidelity: float, p: float, p_th: float = 0.01,
@@ -170,7 +165,7 @@ def estimate(n: int, code: CodeSpec, gamma: float = 0.9975, copies: int = 7,
              factories: FactoryConfig = DEFAULT_FACTORIES) -> ResourceEstimate:
     """Full per-n resource row for the requested code family."""
     L = logical_qubits(n, copies)
-    per_copy = toffoli_per_copy(n)
+    per_copy = toffoli_count_hm(n, copies=1)
     infid = ccz_infidelity_target(n, gamma)
     family = code.family
     approximate = False

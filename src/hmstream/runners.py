@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, StreamOrderError
+from .compiler import SketchLayout, log2_exact
+from .errors import DomainError, StreamOrderError, TransportError
 from .instances import EdgeUpdate, EndOfStream, HMInstance, VertexUpdate, to_stream
 from .sketch import PairSketch
 from .statevector import NoiseConfig, PvmOutcome, mcx, shot_rng
@@ -68,28 +68,6 @@ class OutcomeDistribution:
         return self.p_correct - self.p_wrong
 
 
-def hm_elements(n: int) -> list[str]:
-    """Sketch element set for n vertices: all (v, 0, b) bit strings."""
-    L = _log2(n)
-    out = []
-    for b in (0, 1):
-        for v in range(n):
-            bits = "".join(str((v >> q) & 1) for q in range(L))
-            out.append(bits + "0" + str(b))
-    return out
-
-
-def hm_element(v: int, label: int, parity: int, L: int) -> str:
-    bits = "".join(str((v >> q) & 1) for q in range(L))
-    return bits + str(label) + str(parity)
-
-
-def _log2(n: int) -> int:
-    if n < 4 or n & (n - 1):
-        raise DomainError(f"vertex count {n} must be a power of two >= 4")
-    return n.bit_length() - 1
-
-
 def run_quantum_shot(updates, n: int, rng, noise: NoiseConfig | None = None) -> SketchOutcome:
     """Execute one simulated sketch shot against a stream of updates.
 
@@ -97,8 +75,8 @@ def run_quantum_shot(updates, n: int, rng, noise: NoiseConfig | None = None) -> 
     at the first terminal measurement, so early termination shortens the
     stream read (the program length is dynamic).
     """
-    L = _log2(n)
-    sketch = PairSketch.create(hm_elements(n), noise=noise, noise_rng=rng)
+    lay = SketchLayout(log2_exact(n))
+    sketch = PairSketch.create(lay.elements(), noise=noise, noise_rng=rng)
     step = 0
     edges_seen = False
     for upd in updates:
@@ -108,12 +86,12 @@ def run_quantum_shot(updates, n: int, rng, noise: NoiseConfig | None = None) -> 
             if not 0 <= upd.v < n:
                 raise DomainError(f"vertex id {upd.v} outside [0, {n})")
             if upd.label:
-                sketch.apply_gate(mcx(tuple((q, (upd.v >> q) & 1) for q in range(L)), L))
+                sketch.apply_gate(mcx(lay.vertex_controls(upd.v), lay.label))
         elif isinstance(upd, EdgeUpdate):
             edges_seen = True
             for s, t in PVM_QUERY_ORDER:
-                a = hm_element(upd.u, s, s ^ t, L)
-                b = hm_element(upd.v, t, s ^ t, L)
+                a = lay.element(upd.u, s, s ^ t)
+                b = lay.element(upd.v, t, s ^ t)
                 outcome = sketch.query_pair(a, b, rng)
                 if outcome is PvmOutcome.PLUS:
                     verdict = VERDICT_YES if (s ^ t ^ upd.label) == 0 else VERDICT_NO
@@ -131,18 +109,18 @@ def run_quantum_shot(updates, n: int, rng, noise: NoiseConfig | None = None) -> 
 def exact_distribution(instance: HMInstance) -> OutcomeDistribution:
     """Exact outcome probabilities by walking the zero branch analytically."""
     n = instance.n
-    L = _log2(n)
-    amps = np.zeros(1 << (L + 2), dtype=np.complex128)
+    lay = SketchLayout(log2_exact(n))
+    amps = np.zeros(1 << lay.width, dtype=np.complex128)
     for v in range(n):
         for b in (0, 1):
-            amps[v | (instance.x[v] << L) | (b << (L + 1))] = 1.0 / math.sqrt(2 * n)
+            amps[lay.index(v, instance.x[v], b)] = 1.0 / math.sqrt(2 * n)
     p_correct = 0.0
     p_wrong = 0.0
     p_minus = 0.0
     for (u, v), z in zip(instance.edges, instance.z):
         for s, t in PVM_QUERY_ORDER:
-            ia = u | (s << L) | ((s ^ t) << (L + 1))
-            ib = v | (t << L) | ((s ^ t) << (L + 1))
+            ia = lay.index(u, s, s ^ t)
+            ib = lay.index(v, t, s ^ t)
             plus = abs(amps[ia] + amps[ib]) ** 2 / 2.0
             minus = abs(amps[ia] - amps[ib]) ** 2 / 2.0
             verdict = VERDICT_YES if (s ^ t ^ z) == 0 else VERDICT_NO
@@ -165,7 +143,7 @@ def mixed_state_distribution(n: int, alpha: Fraction) -> OutcomeDistribution:
     query; correct and wrong answers are exactly balanced.
     """
     num_queries = 4 * int(Fraction(alpha) * n)
-    dim = 1 << (_log2(n) + 2)
+    dim = 1 << SketchLayout(log2_exact(n)).width
     weight = 1.0
     plus_total = 0.0
     for j in range(num_queries):
@@ -292,22 +270,33 @@ class ShotStats:
         return out
 
 
-def run_local_shots(instance: HMInstance, shots: int, seed: int,
-                    noise: NoiseConfig | None = None, jobs: int = 1) -> ShotStats:
-    """Run seeded, independent in-process shots over the instance stream."""
+def run_shots(shot, shots: int) -> ShotStats:
+    """Run shot(0) .. shot(shots - 1) in order and tally their outcomes.
+
+    A shot that raises TransportError is aborted and counted, not retried;
+    the run fails only when every shot aborts.
+    """
     if shots < 1:
         raise DomainError("shot count must be >= 1")
-    stream = to_stream(instance)
-
-    def one(i: int) -> SketchOutcome:
-        rng = shot_rng(seed, i)
-        return run_quantum_shot(iter(stream), instance.n, rng, noise=noise)
-
+    outcomes = []
+    aborted = 0
+    last_error: TransportError | None = None
     start = time.perf_counter()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, range(shots)))
-    else:
-        outcomes = [one(i) for i in range(shots)]
+    for i in range(shots):
+        try:
+            outcomes.append(shot(i))
+        except TransportError as exc:
+            aborted += 1
+            last_error = exc
     wall = time.perf_counter() - start
-    return ShotStats.from_outcomes(outcomes, wall_seconds=wall)
+    if not outcomes:
+        raise TransportError(f"every shot aborted; last: {last_error}")
+    return ShotStats.from_outcomes(outcomes, wall_seconds=wall, aborted=aborted)
+
+
+def run_local_shots(instance: HMInstance, shots: int, seed: int,
+                    noise: NoiseConfig | None = None) -> ShotStats:
+    """Run seeded, independent in-process shots over the instance stream."""
+    stream = to_stream(instance)
+    return run_shots(lambda i: run_quantum_shot(iter(stream), instance.n, shot_rng(seed, i),
+                                                noise=noise), shots)

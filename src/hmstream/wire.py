@@ -413,20 +413,24 @@ class StreamSession:
     """Client side of one session: iterate updates, then report a verdict."""
 
     def __init__(self, endpoint: str, timeout: float = 30.0):
+        """Connect and handshake. Any failure raises TransportError or
+        ProtocolError with the socket closed."""
         host, _, port = endpoint.rpartition(":")
         try:
             self._sock = socket.create_connection((host or "127.0.0.1", int(port)), timeout=timeout)
-        except OSError as exc:
+        except (OSError, ValueError, OverflowError) as exc:
             raise TransportError(f"cannot connect to {endpoint}: {exc}") from exc
-        self._sock.settimeout(timeout)
-        send_message(self._sock, Hello())
-        ack = self._read()
-        if isinstance(ack, Error):
+        try:
+            self._sock.settimeout(timeout)
+            send_message(self._sock, Hello())
+            ack = self._read()
+            if isinstance(ack, Error):
+                raise ProtocolError(f"server rejected handshake: {ack.code} {ack.message}")
+            if not isinstance(ack, HelloAck):
+                raise ProtocolError(f"expected HELLO_ACK, got {type(ack).__name__}")
+        except BaseException:
             self.close()
-            raise ProtocolError(f"server rejected handshake: {ack.code} {ack.message}")
-        if not isinstance(ack, HelloAck):
-            self.close()
-            raise ProtocolError(f"expected HELLO_ACK, got {type(ack).__name__}")
+            raise
         self.n = ack.n
         self.num_edges = ack.num_edges
         self.session_id = ack.session_id
@@ -470,7 +474,3 @@ class StreamSession:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-def connect_and_iterate(endpoint: str, timeout: float = 30.0) -> StreamSession:
-    """Open a session; iterate `.updates()` and call `.report(...)` when done."""
-    return StreamSession(endpoint, timeout=timeout)

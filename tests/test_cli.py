@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import time
 from fractions import Fraction
@@ -7,7 +8,9 @@ import pytest
 
 from hmstream.cli import build_parser, dump_config, main
 from hmstream.instances import generate, load, save
+from hmstream.runners import run_local_shots
 from hmstream.schema import load_schema, validate as validate_schema
+from hmstream.statevector import NoiseConfig
 from hmstream.wire import StreamServer
 
 QUARTER = Fraction(1, 4)
@@ -39,6 +42,45 @@ class TestUsage:
         assert main(["run", "--local", "--n", "12", "--shots", "1"]) == 4
 
 
+def wait_for_sessions(server, count, timeout=5.0):
+    deadline = time.time() + timeout
+    while len(server.session_logs) < count and time.time() < deadline:
+        time.sleep(0.01)
+    assert len(server.session_logs) == count
+
+
+class _DropAfterSends:
+    """Server-side socket that breaks the connection after `sends` frames."""
+
+    def __init__(self, conn: socket.socket, sends: int):
+        self._conn = conn
+        self._left = sends
+
+    def sendall(self, data: bytes) -> None:
+        if not self._left:
+            self._conn.shutdown(socket.SHUT_RDWR)
+            raise OSError("connection dropped on purpose")
+        self._left -= 1
+        self._conn.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+class DroppingServer(StreamServer):
+    """While `dropping` is set, every third session is cut after HELLO_ACK
+    and `after` updates. No shot can end that early (after < n), so each
+    cut session is the first attempt of a shot, and its retry succeeds."""
+
+    after = 5
+    dropping = False
+
+    def _serve_session(self, conn, session_id):
+        if self.dropping and session_id % 3 == 0:
+            conn = _DropAfterSends(conn, 1 + self.after)
+        super()._serve_session(conn, session_id)
+
+
 class TestRun:
     def test_local_run_writes_schema_valid_results(self, tmp_path):
         out = tmp_path / "results.json"
@@ -59,12 +101,40 @@ class TestRun:
         db = strip_timing(json.loads(b.read_text()))
         assert json.dumps(da, sort_keys=True) == json.dumps(db, sort_keys=True)
 
-    def test_jobs_flag_aggregates_all_shots(self, tmp_path):
+    def test_local_run_counts_match_run_local_shots(self, tmp_path):
         out = tmp_path / "results.json"
-        rc = main(["run", "--local", "--n", "8", "--shots", "40", "--jobs", "4",
-                   "--out", str(out)])
+        rc = main(["run", "--local", "--n", "16", "--case", "no", "--seed", "7",
+                   "--shots", "60", "--noise-p", "0.01", "--out", str(out)])
         assert rc == 0
-        assert sum(json.loads(out.read_text())["counts"].values()) == 40
+        doc = json.loads(out.read_text())
+        stats = run_local_shots(generate(16, QUARTER, "no", seed=7), 60, seed=7,
+                                noise=NoiseConfig(0.01))
+        assert (doc["shots"], doc["aborted"], doc["counts"]) == (60, 0, stats.counts)
+
+    def test_retried_shots_replay_the_dropped_shot(self, tmp_path):
+        instance = generate(16, QUARTER, "yes", seed=3)
+        args = ["run", "--n", "16", "--case", "yes", "--seed", "3", "--shots", "60",
+                "--noise-p", "0.05"]
+        clean, faulty = tmp_path / "clean.json", tmp_path / "faulty.json"
+        with DroppingServer(instance) as server:
+            args += ["--endpoint", server.endpoint]
+            assert main(args + ["--out", str(clean)]) == 0
+            server.dropping = True
+            assert main(args + ["--out", str(faulty)]) == 0
+            # every third faulty-run session is cut: 30 cuts and 30 retries
+            wait_for_sessions(server, 60 + 60 + 30)
+            dropped = [e for e in server.session_logs if e["result"] is None]
+        assert sorted(e["session_id"] for e in dropped) == list(range(60, 150, 3))
+        # the server's cursor also counts the update whose send was cut
+        assert all(e["updates_served"] == DroppingServer.after + 1 for e in dropped)
+        assert strip_timing(json.loads(faulty.read_text())) == \
+            strip_timing(json.loads(clean.read_text()))
+
+    def test_malformed_endpoint_exits_3(self, capsys):
+        rc = main(["run", "--endpoint", "nonsense", "--shots", "2", "--n", "8"])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("transport error:") and err.count("\n") == 1
 
     def test_networked_run_against_server(self, tmp_path):
         instance = generate(8, QUARTER, "yes", seed=6)
@@ -77,10 +147,7 @@ class TestRun:
             doc = json.loads(out.read_text())
             assert doc["mode"] == "tcp"
             assert sum(doc["counts"].values()) == 25
-            deadline = time.time() + 5
-            while len(server.session_logs) < 25 and time.time() < deadline:
-                time.sleep(0.01)
-            assert len(server.session_logs) == 25
+            wait_for_sessions(server, 25)
 
     def test_unreachable_endpoint_exits_3(self):
         rc = main(["run", "--endpoint", "127.0.0.1:1", "--shots", "2",
@@ -182,6 +249,22 @@ class TestTables:
             else:
                 assert copies > 5
 
+    def test_vote_alpha_grid_reaches_its_upper_end(self, tmp_path):
+        out = tmp_path / "grid.csv"
+        assert main(["vote", "--alpha", "1/4", "--alpha-grid", "0.01:0.25:0.01",
+                     "--out", str(out)]) == 0
+        rows = out.read_text().splitlines()[1:]
+        assert len(rows) == 25
+        assert rows[0].startswith("0.0100,")
+        assert rows[-1] == "0.2500,5,6"
+
+    def test_figure2b_zero_gap_unbounded_at_default_k_max(self, tmp_path):
+        out = tmp_path / "f.csv"
+        assert main(["figure2b", "--n-list", "4", "--gamma-list", "0.0",
+                     "--out", str(out)]) == 0
+        (row,) = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert row[5] == row[7] == "unbounded"
+
     def test_figure2b_zero_gap_unbounded(self, tmp_path):
         results = {
             "schema": "hmstream.results/1",
@@ -214,9 +297,9 @@ class TestServeCommand:
             banner = proc.stdout.readline()
             assert "serving n=8" in banner
             port = int(banner.strip().rsplit(":", 1)[1])
-            from hmstream.wire import connect_and_iterate
+            from hmstream.wire import StreamSession
 
-            with connect_and_iterate(f"127.0.0.1:{port}") as session:
+            with StreamSession(f"127.0.0.1:{port}") as session:
                 assert session.n == 8
                 assert len(list(session.updates())) == 8 + 2 + 1
                 session.report("null", 8)

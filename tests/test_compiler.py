@@ -1,9 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from frozen import LOGICAL_TABLE, PHYSICAL_TABLE
 
+from hmstream.boosting import total_quantum_space
 from hmstream.compiler import (
+    SketchLayout,
     ccx_ops,
     decompose_circuit,
     decompose_mcx,
@@ -18,6 +22,9 @@ from hmstream.compiler import (
     worst_case_ops,
 )
 from hmstream.errors import DecompositionError, DomainError
+from hmstream.instances import HMInstance, generate
+from hmstream.resources import CodeSpec, estimate
+from hmstream.runners import exact_distribution, run_quantum_shot
 from hmstream.statevector import circuit_matrix, cx, mcx
 
 
@@ -118,12 +125,44 @@ class TestCounts:
         with pytest.raises(DomainError):
             physical_counts_hm(10)
 
+    def test_one_power_of_two_check_everywhere(self):
+        assert [log2_exact(n) for n in (4, 8, 1024)] == [2, 3, 10]
+        rejects = (
+            log2_exact,
+            logical_counts_hm,
+            lambda n: worst_case_ops(n),
+            lambda n: generate(n, Fraction(1, 4), "yes", seed=0),
+            lambda n: run_quantum_shot(iter([]), n, np.random.default_rng(0)),
+            lambda n: exact_distribution(HMInstance(n, Fraction(0), (), (), (), "yes", 0)),
+        )
+        for n in (0, 1, 2, 3, 6, 12):
+            for check in rejects:
+                with pytest.raises(DomainError, match=f"vertex count {n} must be a power of two >= 4"):
+                    check(n)
+
+    def test_layout_roles_match_the_sketch_elements(self):
+        lay = SketchLayout(3)
+        assert (lay.label, lay.parity, lay.width, lay.num_qubits) == (3, 4, 5, 7)
+        assert lay.element(6, 1, 0) == "01110"  # qubit 0 first
+        assert lay.index(6, 1, 0) == 0b01110
+        assert lay.vertex_controls(6) == ((0, 0), (1, 1), (2, 1))
+        assert sorted(lay.elements()) == sorted(
+            lay.element(v, 0, b) for v in range(8) for b in (0, 1))
+        assert total_quantum_space(8, copies=1) == lay.width
+
     def test_toffoli_budget(self):
         # summing (controls + 1) per multi-controlled gate over the worst
         # case: 4 three-qubit + 8 five-qubit gates at n=4 gives 4*2 + 8*4
         assert toffoli_count_hm(4, copies=1) == 40
         assert toffoli_count_hm(10**10, 7) == pytest.approx(7.42e12, rel=5e-3)
         assert toffoli_count_hm(10**4, 7) == pytest.approx(3.22e6, rel=5e-3)
+        # the resource table draws its Toffoli columns from the same formula
+        code = CodeSpec("two-gross", 1e-4)
+        assert estimate(4, code, copies=1).toffoli_total == 40
+        for n in (10**4, 10**10):
+            est = estimate(n, code)
+            assert est.toffoli_per_copy == toffoli_count_hm(n, copies=1)
+            assert est.toffoli_total == toffoli_count_hm(n, 7)
 
 
 class TestWorstCaseCircuitEquivalence:

@@ -1,5 +1,6 @@
 import socket
 import struct
+import threading
 import time
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmstream.errors import FrameError, ProtocolError
+from hmstream.errors import FrameError, ProtocolError, TransportError
 from hmstream.instances import EdgeUpdate, EndOfStream, VertexUpdate, generate
 from hmstream.schema import load_schema, validate as validate_schema
 from hmstream.wire import (
@@ -22,8 +23,8 @@ from hmstream.wire import (
     Next,
     Result,
     StreamServer,
+    StreamSession,
     Vertex,
-    connect_and_iterate,
     decode,
     encode,
     frame,
@@ -115,12 +116,12 @@ def raw_connection(srv):
 
 class TestServer:
     def test_handshake_reports_instance_shape(self, server):
-        with connect_and_iterate(server.endpoint) as session:
+        with StreamSession(server.endpoint) as session:
             assert session.n == 32
             assert session.num_edges == 8
 
     def test_full_stream_order_and_counts(self, server):
-        with connect_and_iterate(server.endpoint) as session:
+        with StreamSession(server.endpoint) as session:
             updates = list(session.updates())
         kinds = [type(u) for u in updates]
         assert kinds[:32] == [VertexUpdate] * 32
@@ -129,7 +130,7 @@ class TestServer:
         assert [u.v for u in updates[:32]] == list(range(32))
 
     def test_no_update_delivered_twice(self, server):
-        with connect_and_iterate(server.endpoint) as session:
+        with StreamSession(server.endpoint) as session:
             updates = [u for u in session.updates() if isinstance(u, VertexUpdate)]
         assert len({u.v for u in updates}) == len(updates)
 
@@ -172,7 +173,7 @@ class TestServer:
         sock.close()
 
     def test_early_termination_result_logged(self, server):
-        with connect_and_iterate(server.endpoint) as session:
+        with StreamSession(server.endpoint) as session:
             taken = 0
             for update in session.updates():
                 taken += 1
@@ -185,8 +186,8 @@ class TestServer:
         assert validate_schema(logs[0], schema) == []
 
     def test_session_isolation_concurrent(self, server):
-        s1 = connect_and_iterate(server.endpoint)
-        s2 = connect_and_iterate(server.endpoint)
+        s1 = StreamSession(server.endpoint)
+        s2 = StreamSession(server.endpoint)
         it1, it2 = s1.updates(), s2.updates()
         seq1, seq2 = [], []
         for _ in range(41):
@@ -198,7 +199,7 @@ class TestServer:
 
     def test_sequential_sessions_each_get_full_stream(self, server):
         for _ in range(3):
-            with connect_and_iterate(server.endpoint) as session:
+            with StreamSession(server.endpoint) as session:
                 assert len(list(session.updates())) == 41
 
     def test_mutated_frames_all_rejected(self, server):
@@ -240,15 +241,64 @@ class TestServer:
         assert rejected == trials
 
 
+def one_connection_listener(reply: bytes | None):
+    """Listener that accepts one connection, then closes it at once (reply
+    None) or after reading the HELLO frame and sending `reply`."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def serve():
+        conn, _ = listener.accept()
+        with conn:
+            if reply is not None:
+                read_frame(conn)
+                conn.sendall(reply)
+
+    worker = threading.Thread(target=serve, daemon=True)
+    worker.start()
+    return listener, worker
+
+
 class TestClientErrors:
     def test_connect_to_dead_endpoint(self):
-        from hmstream.errors import TransportError
-
         with pytest.raises(TransportError):
-            connect_and_iterate("127.0.0.1:1", timeout=0.5)
+            StreamSession("127.0.0.1:1", timeout=0.5)
+
+    @pytest.mark.parametrize("endpoint", ["nonsense", "127.0.0.1:", "127.0.0.1:http",
+                                          "127.0.0.1:99999999999999999999999"])
+    def test_malformed_endpoint_is_transport_error(self, endpoint):
+        with pytest.raises(TransportError):
+            StreamSession(endpoint, timeout=0.5)
+
+    @pytest.mark.parametrize("reply, error", [
+        (None, TransportError),  # accepted, then closed before HELLO_ACK
+        (frame(b"\x02\x01"), ProtocolError),  # truncated HELLO_ACK
+        (frame(encode(Next())), ProtocolError),  # not a HELLO_ACK
+        (frame(encode(Error(ERR_PROTOCOL, "busy"))), ProtocolError),
+    ], ids=["closed", "truncated-ack", "not-an-ack", "error-reply"])
+    def test_failed_handshake_closes_the_socket(self, monkeypatch, reply, error):
+        opened = []
+        connect = socket.create_connection
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", recording_connect)
+        listener, worker = one_connection_listener(reply)
+        try:
+            with pytest.raises(error):
+                StreamSession(f"127.0.0.1:{listener.getsockname()[1]}", timeout=5.0)
+        finally:
+            worker.join(timeout=5.0)
+            listener.close()
+        assert not worker.is_alive()
+        assert len(opened) == 1
+        assert opened[0].fileno() == -1  # closed by the failed constructor
 
     def test_server_error_surfaces_as_protocol_error(self, server):
-        session = connect_and_iterate(server.endpoint)
+        session = StreamSession(server.endpoint)
         assert len(list(session.updates())) == 41  # single pass stops at end
         session._done = False  # force one illegal NEXT past the end
         with pytest.raises(ProtocolError):
