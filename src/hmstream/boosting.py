@@ -3,9 +3,11 @@
 Run k independent sketches and vote between yes and no verdicts. With
 per-copy probabilities (p_correct, p_wrong, p_null) the vote succeeds when
 correct answers strictly outnumber wrong ones; ties, including the all-null
-event, are broken by a fair coin. The evaluation enumerates the (correct,
-wrong) trinomial outcomes exactly, which is unambiguous and directly
-checkable against Monte Carlo.
+event, are broken by a fair coin. The distribution of correct minus wrong
+votes is built by one convolution per copy: every term is a sum of
+positive products, so there is no cancellation and no big integer, and
+successive copy counts come from one walk. Brute-force enumeration and
+Monte Carlo check it in the tests.
 
 For the matching sketch the ideal per-copy probabilities are
 (alpha, alpha/2, 1 - 3*alpha/2). A per-copy fidelity gamma raises the
@@ -14,7 +16,9 @@ the largest per-copy infidelity a failure budget can absorb.
 """
 from __future__ import annotations
 
-import math
+import itertools
+
+import numpy as np
 
 from .compiler import SketchLayout, ceil_log2
 from .errors import DomainError
@@ -27,28 +31,27 @@ def _check_alpha(alpha: float) -> float:
     return a
 
 
+def _vote_successes(p_correct: float, p_wrong: float):
+    """Vote success for k = 1, 2, ... copies, one value per copy added.
+
+    margin[j] is the probability that correct minus wrong votes equals
+    j - k; each copy convolves it with (p_wrong, p_null, p_correct).
+    """
+    p_null = 1.0 - p_correct - p_wrong
+    if p_correct < 0 or p_wrong < 0 or p_null < -1e-12:
+        raise DomainError("per-copy probabilities must be a distribution")
+    step = np.array([p_wrong, max(p_null, 0.0), p_correct])
+    margin = np.ones(1)
+    for k in itertools.count(1):
+        margin = np.convolve(margin, step)
+        yield min(1.0, max(0.0, float(margin[k + 1:].sum() + 0.5 * margin[k])))
+
+
 def vote_success_general(k: int, p_correct: float, p_wrong: float) -> float:
     """Probability a k-copy majority vote answers correctly, ties by coin."""
     if k < 1:
         raise DomainError("copy count must be >= 1")
-    p_null = 1.0 - p_correct - p_wrong
-    if p_correct < 0 or p_wrong < 0 or p_null < -1e-12:
-        raise DomainError("per-copy probabilities must be a distribution")
-    p_null = max(p_null, 0.0)
-    total = 0.0
-    for c in range(k + 1):
-        for w in range(k - c + 1):
-            if c < w:
-                continue
-            weight = (
-                math.comb(k, c)
-                * math.comb(k - c, w)
-                * p_correct**c
-                * p_wrong**w
-                * p_null ** (k - c - w)
-            )
-            total += weight if c > w else 0.5 * weight
-    return total
+    return next(itertools.islice(_vote_successes(p_correct, p_wrong), k - 1, None))
 
 
 def vote_success(k: int, alpha: float) -> float:
@@ -63,8 +66,8 @@ def min_copies_general(p_correct: float, p_wrong: float, target: float = 2.0 / 3
     (a zero correct/wrong gap never exceeds one half)."""
     if target > 0.5 and p_correct <= p_wrong:
         return None  # wrong answers are at least as likely: success <= 1/2 for every k
-    for k in range(1, k_max + 1):
-        if vote_success_general(k, p_correct, p_wrong) >= target:
+    for k, success in zip(range(1, k_max + 1), _vote_successes(p_correct, p_wrong)):
+        if success >= target:
             return k
     return None
 

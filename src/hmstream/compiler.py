@@ -215,14 +215,9 @@ class SketchLayout:
         """Basis index of |v, label, parity> on the sketch qubits."""
         return v | (label << self.label) | (parity << self.parity)
 
-    def element(self, v: int, label: int, parity: int) -> str:
-        """Sketch element (character i is qubit i) of |v, label, parity>."""
-        i = self.index(v, label, parity)
-        return "".join("1" if i >> q & 1 else "0" for q in range(self.width))
-
-    def elements(self) -> list[str]:
+    def elements(self) -> list[int]:
         """The sketched set {(v, 0, b)}: every vertex, label 0, both parities."""
-        return [self.element(v, 0, b) for b in (0, 1) for v in range(1 << self.vertex_bits)]
+        return [self.index(v, 0, b) for b in (0, 1) for v in range(1 << self.vertex_bits)]
 
 
 def worst_case_ops(n: int) -> tuple[list[GateOp], SketchLayout]:

@@ -76,7 +76,7 @@ def run_quantum_shot(updates, n: int, rng, noise: NoiseConfig | None = None) -> 
     stream read (the program length is dynamic).
     """
     lay = SketchLayout(log2_exact(n))
-    sketch = PairSketch.create(lay.elements(), noise=noise, noise_rng=rng)
+    sketch = PairSketch.create(lay.width, lay.elements(), noise=noise, noise_rng=rng)
     step = 0
     edges_seen = False
     for upd in updates:
@@ -90,8 +90,8 @@ def run_quantum_shot(updates, n: int, rng, noise: NoiseConfig | None = None) -> 
         elif isinstance(upd, EdgeUpdate):
             edges_seen = True
             for s, t in PVM_QUERY_ORDER:
-                a = lay.element(upd.u, s, s ^ t)
-                b = lay.element(upd.v, t, s ^ t)
+                a = lay.index(upd.u, s, s ^ t)
+                b = lay.index(upd.v, t, s ^ t)
                 outcome = sketch.query_pair(a, b, rng)
                 if outcome is PvmOutcome.PLUS:
                     verdict = VERDICT_YES if (s ^ t ^ upd.label) == 0 else VERDICT_NO

@@ -1,11 +1,10 @@
 """Quantum pair sketch: create / query_one / query_pair / update.
 
-A sketch of width k summarizes a set of k-bit strings as the uniform
+A sketch of width k summarizes a set of k-bit basis states as the uniform
 superposition over the set. It lives on k sketch qubits plus two
 measurement ancillas (indices k and k+1) that are |0> at every operation
-boundary. Elements are bit strings whose character i is the value of
-qubit i (qubit 0 first, i.e. the least-significant bit of the basis
-index).
+boundary. Elements are basis indices in [0, 2**k): bit i of an element is
+the value of qubit i (qubit 0 is the least-significant bit).
 
 query_pair(a, b) realizes the three-outcome measurement onto
 (|a> +- |b>)/sqrt(2) and their complement: a basis change built from one
@@ -22,7 +21,9 @@ bits and two pattern-matched multi-controlled flips (2 H, <= 2k CX,
 """
 from __future__ import annotations
 
+import operator
 from collections.abc import Iterable
+from functools import reduce
 
 import numpy as np
 
@@ -45,83 +46,59 @@ from .statevector import (
 )
 
 
-def element_index(element: str) -> int:
-    """Basis index of a bit-string element (character i is qubit i)."""
-    return sum(1 << i for i, ch in enumerate(element) if ch == "1")
+def _check_element(element: int, width: int) -> None:
+    if not 0 <= element < 1 << width:
+        raise DomainError(f"element {element} outside [0, 2**{width})")
 
 
-def _check_element(element: str, width: int) -> None:
-    if len(element) != width:
-        raise DomainError(f"element {element!r} does not have width {width}")
-    if any(ch not in "01" for ch in element):
-        raise DomainError(f"element {element!r} is not a bit string")
-
-
-def _uniform_amplitudes(elements: list[str], width: int) -> np.ndarray:
-    """Amplitude vector of the uniform superposition, built by recursive
-    amplitude splitting over the element prefix tree (qubit 0 first)."""
-    amps = np.zeros(1 << width, dtype=np.complex128)
-    total = len(elements)
-
-    def descend(group: list[str], bit: int, index: int, amp: float) -> None:
-        if bit == width:
-            amps[index] = amp
-            return
-        zeros = [e for e in group if e[bit] == "0"]
-        ones = [e for e in group if e[bit] == "1"]
-        if zeros:
-            descend(zeros, bit + 1, index, amp * np.sqrt(len(zeros) / len(group)))
-        if ones:
-            descend(ones, bit + 1, index | (1 << bit), amp * np.sqrt(len(ones) / len(group)))
-
-    descend(elements, 0, 0, 1.0)
-    return amps
+def _pattern(element: int, width: int) -> tuple[tuple[int, int], ...]:
+    """(qubit, bit) controls that fire exactly on basis state |element>."""
+    return tuple((i, element >> i & 1) for i in range(width))
 
 
 class PairSketch:
     """Single-owner sketch state; operations mutate it in place."""
 
-    def __init__(self, width: int, state: QuantumState, tally: GateTally | None = None,
-                 noise: NoiseConfig | None = None, noise_rng=None):
+    def __init__(self, width: int, state: QuantumState, noise: NoiseConfig | None = None,
+                 noise_rng=None):
         self.width = width
         self.state = state
         self.anc1 = width
         self.anc2 = width + 1
-        self.tally = tally if tally is not None else GateTally()
+        self.tally = GateTally()
         self.noise = noise
         self.noise_rng = noise_rng
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def create(cls, elements: Iterable[str], noise: NoiseConfig | None = None,
+    def create(cls, width: int, elements: Iterable[int], noise: NoiseConfig | None = None,
                noise_rng=None) -> "PairSketch":
-        """Uniform superposition over `elements`.
+        """Uniform superposition over `elements`, basis indices of `width` bits.
 
         When the set is a product of free and fixed bit positions (the
         streamed-matching case) the state is prepared with a Hadamard layer
-        plus X on fixed-one bits; otherwise amplitudes are written directly
-        via the splitting tree, which is general state preparation.
+        plus X on fixed-one bits; otherwise the amplitudes are written
+        directly, which is general state preparation.
         """
         elems = sorted(set(elements))
         if not elems:
             raise DomainError("cannot summarize an empty set")
-        width = len(elems[0])
         for e in elems:
             _check_element(e, width)
         sketch = cls(width, allocate(width + 2), noise=noise, noise_rng=noise_rng)
-        free = [i for i in range(width) if len({e[i] for e in elems}) == 2]
+        ones = reduce(operator.and_, elems)
+        free_mask = reduce(operator.or_, elems) ^ ones
+        free = [i for i in range(width) if free_mask >> i & 1]
         if len(elems) == (1 << len(free)):
             for i in range(width):
-                if i not in free and elems[0][i] == "1":
+                if ones >> i & 1:
                     sketch._emit(x(i))
             for i in free:
                 sketch._emit(h(i))
         else:
-            amps = _uniform_amplitudes(elems, width)
-            full = np.zeros(1 << (width + 2), dtype=np.complex128)
-            full[: 1 << width] = amps
-            sketch.state.amps = full
+            sketch.state.amps[0] = 0.0  # allocate() starts in |0...0>
+            sketch.state.amps[elems] = 1.0 / np.sqrt(len(elems))
         return sketch
 
     # -- internals ----------------------------------------------------------
@@ -154,37 +131,35 @@ class PairSketch:
         blocks = self.state.amps.reshape(4, 1 << self.width)
         return float(np.sum(np.abs(blocks[1:]) ** 2)) <= tol
 
-    def _diff_and_pivot(self, a: str, b: str) -> tuple[list[int], int]:
+    def _diff_and_pivot(self, a: int, b: int) -> tuple[list[int], int]:
         _check_element(a, self.width)
         _check_element(b, self.width)
         if a == b:
             raise DomainError("elements must differ")
-        diff = [i for i in range(self.width) if a[i] != b[i]]
+        diff = [i for i in range(self.width) if (a ^ b) >> i & 1]
         return diff, diff[0]
 
     # -- queries ------------------------------------------------------------
 
-    def pair_probabilities(self, a: str, b: str):
+    def pair_probabilities(self, a: int, b: int):
         """(p_plus, p_minus, p_zero) the next query_pair(a, b) would sample."""
         self._diff_and_pivot(a, b)
-        return pair_pvm_probabilities(self.state, element_index(a), element_index(b))
+        return pair_pvm_probabilities(self.state, a, b)
 
-    def query_one(self, a: str, rng) -> bool:
+    def query_one(self, a: int, rng) -> bool:
         """Probabilistic membership test: flag |a> on an ancilla and measure.
 
         True collapses the sketch to |a>; False to the renormalized rest.
         """
         _check_element(a, self.width)
-        controls = tuple((i, int(a[i])) for i in range(self.width))
-        self._emit(mcx(controls, self.anc1))
+        self._emit(mcx(_pattern(a, self.width), self.anc1))
         return bool(measure_and_reset(self.state, self.anc1, rng))
 
-    def query_pair(self, a: str, b: str, rng) -> PvmOutcome:
+    def query_pair(self, a: int, b: int, rng) -> PvmOutcome:
         """Three-outcome measurement onto (|a> +- |b>)/sqrt(2)."""
         diff, pivot = self._diff_and_pivot(a, b)
         fan = [cx(pivot, i) for i in diff[1:]]
-        r = a if a[pivot] == "0" else b
-        controls = tuple((i, int(r[i])) for i in range(self.width))
+        controls = _pattern(b if a >> pivot & 1 else a, self.width)
 
         for op in fan:
             self._emit(op)
@@ -210,23 +185,21 @@ class PairSketch:
 
     # -- updates ------------------------------------------------------------
 
-    def update_transposition(self, a: str, b: str) -> "PairSketch":
+    def update_transposition(self, a: int, b: int) -> "PairSketch":
         """Swap the amplitudes of |a> and |b>, leaving the rest unchanged."""
         diff, _ = self._diff_and_pivot(a, b)
-        pattern_a = tuple((i, int(a[i])) for i in range(self.width))
-        pattern_b = tuple((i, int(b[i])) for i in range(self.width))
         fan = [cx(self.anc1, i) for i in diff]
         self._emit(h(self.anc1))
         for op in fan:
             self._emit(op)
-        self._emit(mcx(pattern_a, self.anc1))
-        self._emit(mcx(pattern_b, self.anc1))
+        self._emit(mcx(_pattern(a, self.width), self.anc1))
+        self._emit(mcx(_pattern(b, self.width), self.anc1))
         for op in fan:
             self._emit(op)
         self._emit(h(self.anc1))
         return self
 
-    def update(self, transpositions: Iterable[tuple[str, str]]) -> "PairSketch":
+    def update(self, transpositions: Iterable[tuple[int, int]]) -> "PairSketch":
         """Apply a permutation given as transpositions, in list order."""
         for a, b in transpositions:
             self.update_transposition(a, b)

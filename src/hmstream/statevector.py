@@ -220,14 +220,6 @@ def apply(state: QuantumState, op: GateOp) -> QuantumState:
     return state
 
 
-def apply_all(state: QuantumState, ops, tally: "GateTally | None" = None) -> QuantumState:
-    for op in ops:
-        apply(state, op)
-        if tally is not None:
-            tally.add(op)
-    return state
-
-
 def circuit_matrix(ops, m: int, columns=None) -> np.ndarray:
     """Evolve basis columns through `ops`; returns a (2^m, len(columns)) block.
 
@@ -331,14 +323,9 @@ _PAULI_PAIRS = tuple(
 )
 
 
-def inject_depolarizing(state: QuantumState, q1: int, q2: int, p, rng) -> QuantumState:
+def inject_depolarizing(state: QuantumState, q1: int, q2: int, p: float, rng) -> QuantumState:
     """Two-qubit depolarizing trajectory: with probability p apply one of the
-    15 non-identity Pauli pairs chosen uniformly at random.
-
-    `p` is a probability or a NoiseConfig (its depolarizing field is used).
-    """
-    if isinstance(p, NoiseConfig):
-        p = p.two_qubit_depolarizing_p
+    15 non-identity Pauli pairs chosen uniformly at random."""
     if q1 == q2:
         raise DomainError("depolarizing noise needs two distinct qubits")
     if p <= 0.0:

@@ -16,6 +16,9 @@ RESULT      0x07  outcome u8 (0 null, 1 yes, 2 no), terminating_step u64
 ERROR       0x7F  code u8, message u16-length-prefixed UTF-8
 ==========  ====  =======================================================
 
+VERTEX, EDGE and END are the stream updates themselves: they encode from
+and decode to instances.VertexUpdate, EdgeUpdate and EndOfStream.
+
 Error codes: 1 protocol violation (bad order, unexpected message, version
 mismatch), 2 stream exhausted (NEXT after END), 3 malformed frame (closes
 the connection).
@@ -37,7 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import FrameError, ProtocolError, TransportError
-from .instances import EdgeUpdate, EndOfStream, HMInstance, VertexUpdate, to_stream
+from .instances import (EdgeUpdate, EndOfStream, HMInstance, StreamUpdate, VertexUpdate,
+                        to_stream)
 
 MAX_PAYLOAD = 65535
 PROTOCOL_VERSION = 1
@@ -78,24 +82,6 @@ class Next:
 
 
 @dataclass(frozen=True)
-class Vertex:
-    v: int
-    label: int
-
-
-@dataclass(frozen=True)
-class Edge:
-    u: int
-    v: int
-    label: int
-
-
-@dataclass(frozen=True)
-class End:
-    pass
-
-
-@dataclass(frozen=True)
 class Result:
     outcome: int
     terminating_step: int
@@ -107,7 +93,7 @@ class Error:
     message: str
 
 
-Message = Hello | HelloAck | Next | Vertex | Edge | End | Result | Error
+Message = Hello | HelloAck | Next | StreamUpdate | Result | Error
 
 
 # ---------------------------------------------------------------------------
@@ -122,13 +108,13 @@ def encode(msg: Message) -> bytes:
         return struct.pack("<BBQQQ", TAG_HELLO_ACK, msg.version, msg.n, msg.num_edges, msg.session_id)
     if isinstance(msg, Next):
         return struct.pack("<B", TAG_NEXT)
-    if isinstance(msg, Vertex):
+    if isinstance(msg, VertexUpdate):
         _check_label(msg.label)
         return struct.pack("<BQB", TAG_VERTEX, msg.v, msg.label)
-    if isinstance(msg, Edge):
+    if isinstance(msg, EdgeUpdate):
         _check_label(msg.label)
         return struct.pack("<BQQB", TAG_EDGE, msg.u, msg.v, msg.label)
-    if isinstance(msg, End):
+    if isinstance(msg, EndOfStream):
         return struct.pack("<B", TAG_END)
     if isinstance(msg, Result):
         if msg.outcome not in OUTCOME_NAMES:
@@ -171,15 +157,15 @@ def decode(payload: bytes) -> Message:
         _exact(payload, 10, "VERTEX")
         v, label = struct.unpack("<QB", payload[1:])
         _check_label(label)
-        return Vertex(v, label)
+        return VertexUpdate(v, label)
     if tag == TAG_EDGE:
         _exact(payload, 18, "EDGE")
         u, v, label = struct.unpack("<QQB", payload[1:])
         _check_label(label)
-        return Edge(u, v, label)
+        return EdgeUpdate(u, v, label)
     if tag == TAG_END:
         _exact(payload, 1, "END")
-        return End()
+        return EndOfStream()
     if tag == TAG_RESULT:
         _exact(payload, 10, "RESULT")
         outcome, step = struct.unpack("<BQ", payload[1:])
@@ -251,16 +237,6 @@ def send_message(sock: socket.socket, msg: Message) -> None:
 
 # ---------------------------------------------------------------------------
 # server
-
-
-def _update_to_message(update) -> Message:
-    if isinstance(update, VertexUpdate):
-        return Vertex(update.v, update.label)
-    if isinstance(update, EdgeUpdate):
-        return Edge(update.u, update.v, update.label)
-    if isinstance(update, EndOfStream):
-        return End()
-    raise ProtocolError(f"cannot serve {update!r}")
 
 
 class StreamServer:
@@ -380,10 +356,9 @@ class StreamServer:
                         send_message(conn, Error(ERR_EXHAUSTED, "stream exhausted"))
                         continue
                     update = self.updates[cursor]
+                    send_message(conn, update)
                     cursor += 1
-                    if isinstance(update, EndOfStream):
-                        ended = True
-                    send_message(conn, _update_to_message(update))
+                    ended = isinstance(update, EndOfStream)
                 elif isinstance(msg, Result):
                     if not greeted:
                         send_message(conn, Error(ERR_PROTOCOL, "RESULT before HELLO"))
@@ -447,17 +422,12 @@ class StreamSession:
         while not self._done:
             send_message(self._sock, Next())
             msg = self._read()
-            if isinstance(msg, Vertex):
-                yield VertexUpdate(msg.v, msg.label)
-            elif isinstance(msg, Edge):
-                yield EdgeUpdate(msg.u, msg.v, msg.label)
-            elif isinstance(msg, End):
-                self._done = True
-                yield EndOfStream()
-            elif isinstance(msg, Error):
+            if isinstance(msg, Error):
                 raise ProtocolError(f"server error {msg.code}: {msg.message}")
-            else:
+            if not isinstance(msg, StreamUpdate):
                 raise ProtocolError(f"unexpected {type(msg).__name__} mid-stream")
+            self._done = isinstance(msg, EndOfStream)
+            yield msg
 
     def report(self, verdict: str, terminating_step: int) -> None:
         send_message(self._sock, Result(OUTCOME_CODES[verdict], terminating_step))

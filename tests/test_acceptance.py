@@ -246,11 +246,11 @@ def _random_valid_message(rng) -> wire.Message:
     if choice == 2:
         return wire.Next()
     if choice == 3:
-        return wire.Vertex(u64(), bit())
+        return instances.VertexUpdate(u64(), bit())
     if choice == 4:
-        return wire.Edge(u64(), u64(), bit())
+        return instances.EdgeUpdate(u64(), u64(), bit())
     if choice == 5:
-        return wire.End()
+        return instances.EndOfStream()
     if choice == 6:
         return wire.Result(int(rng.integers(3)), u64())
     count = int(rng.integers(0, 40))
@@ -268,7 +268,7 @@ def test_criterion_11_wire_protocol_fuzz():
 
         inst = instances.generate(8, QUARTER, "yes", seed=5)
         valid = [wire.encode(wire.Next()), wire.encode(wire.Hello()),
-                 wire.encode(wire.Result(1, 5)), wire.encode(wire.Vertex(3, 1))]
+                 wire.encode(wire.Result(1, 5)), wire.encode(instances.VertexUpdate(3, 1))]
         import socket as socket_mod
 
         with wire.StreamServer(inst, session_timeout=10.0) as server:

@@ -143,11 +143,10 @@ class TestCounts:
     def test_layout_roles_match_the_sketch_elements(self):
         lay = SketchLayout(3)
         assert (lay.label, lay.parity, lay.width, lay.num_qubits) == (3, 4, 5, 7)
-        assert lay.element(6, 1, 0) == "01110"  # qubit 0 first
         assert lay.index(6, 1, 0) == 0b01110
         assert lay.vertex_controls(6) == ((0, 0), (1, 1), (2, 1))
         assert sorted(lay.elements()) == sorted(
-            lay.element(v, 0, b) for v in range(8) for b in (0, 1))
+            lay.index(v, 0, b) for v in range(8) for b in (0, 1))
         assert total_quantum_space(8, copies=1) == lay.width
 
     def test_toffoli_budget(self):

@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from hmstream.errors import DomainError
-from hmstream.sketch import PairSketch, element_index
+from hmstream.sketch import PairSketch
 from hmstream.statevector import PvmOutcome, shot_rng
+
+
+def bits(text):
+    """Basis index of a bit string whose character i is qubit i."""
+    return sum(1 << i for i, ch in enumerate(text) if ch == "1")
 
 
 def indicator_vector(elements, width):
     """Oracle: flat normalized indicator construction."""
     v = np.zeros(1 << width, dtype=complex)
     for e in elements:
-        v[element_index(e)] = 1.0
+        v[e] = 1.0
     return v / np.linalg.norm(v)
 
 
@@ -20,8 +25,7 @@ def transposition_matrix(a, b, width):
     """Oracle: explicit permutation matrix swapping |a> and |b>."""
     dim = 1 << width
     perm = np.eye(dim)
-    ia, ib = element_index(a), element_index(b)
-    perm[[ia, ib]] = perm[[ib, ia]]
+    perm[[a, b]] = perm[[b, a]]
     return perm
 
 
@@ -40,109 +44,121 @@ def random_vector(width, seed):
 class TestCreate:
     def test_full_cube_uses_hadamard_layer(self):
         k = 3
-        elems = ["".join(bits) for bits in itertools.product("01", repeat=k)]
-        sketch = PairSketch.create(elems)
+        elems = [bits("".join(b)) for b in itertools.product("01", repeat=k)]
+        sketch = PairSketch.create(k, elems)
         assert sketch.tally.h == k
         assert sketch.tally.cnot == 0
         assert np.allclose(sketch.sketch_vector(), np.full(8, 1 / np.sqrt(8)))
 
     def test_two_bit_cube_amplitudes(self):
-        sketch = PairSketch.create(["00", "01", "10", "11"])
+        sketch = PairSketch.create(2, [bits("00"), bits("01"), bits("10"), bits("11")])
         assert np.allclose(sketch.sketch_vector(), [0.5, 0.5, 0.5, 0.5])
 
     def test_general_set_matches_indicator_oracle(self):
-        elems = ["000", "011", "101"]
-        sketch = PairSketch.create(elems)
+        elems = [bits("000"), bits("011"), bits("101")]
+        sketch = PairSketch.create(3, elems)
         assert np.abs(sketch.sketch_vector() - indicator_vector(elems, 3)).max() <= 1e-12
 
     def test_cube_times_fixed_product(self):
         # free x fixed-zero x free: the streamed-matching shape
-        elems = [a + "0" + b for a in "01" for b in "01"]
-        sketch = PairSketch.create(elems)
+        elems = [bits(a + "0" + b) for a in "01" for b in "01"]
+        sketch = PairSketch.create(3, elems)
         assert sketch.tally.h == 2
         assert np.abs(sketch.sketch_vector() - indicator_vector(elems, 3)).max() <= 1e-12
 
     def test_fixed_one_bits_use_x(self):
-        sketch = PairSketch.create(["10", "11"])
+        elems = [bits("10"), bits("11")]
+        sketch = PairSketch.create(2, elems)
         assert sketch.tally.x == 1
-        assert np.abs(sketch.sketch_vector() - indicator_vector(["10", "11"], 2)).max() <= 1e-12
+        assert np.abs(sketch.sketch_vector() - indicator_vector(elems, 2)).max() <= 1e-12
 
     def test_empty_set_rejected(self):
         with pytest.raises(DomainError):
-            PairSketch.create([])
+            PairSketch.create(3, [])
 
-    def test_mixed_widths_rejected(self):
-        with pytest.raises(DomainError):
-            PairSketch.create(["01", "001"])
+    def test_element_outside_width_rejected(self):
+        sketch = PairSketch.create(3, [bits("000"), bits("011")])
+        for bad in (-1, 8):
+            with pytest.raises(DomainError):
+                PairSketch.create(3, [bits("010"), bad])
+            with pytest.raises(DomainError):
+                sketch.query_one(bad, shot_rng(0, 0))
+            with pytest.raises(DomainError):
+                sketch.query_pair(bits("010"), bad, shot_rng(0, 0))
+            with pytest.raises(DomainError):
+                sketch.query_pair(bad, bits("010"), shot_rng(0, 0))
+            with pytest.raises(DomainError):
+                sketch.update_transposition(bits("010"), bad)
+            with pytest.raises(DomainError):
+                sketch.update_transposition(bad, bits("010"))
 
 
 class TestQueryOne:
     def test_exact_element_always_hits(self):
-        sketch = PairSketch.create(["101"])
-        assert sketch.query_one("101", shot_rng(0, 0)) is True
-        assert abs(abs(sketch.sketch_vector()[element_index("101")]) - 1.0) <= 1e-12
+        sketch = PairSketch.create(3, [bits("101")])
+        assert sketch.query_one(bits("101"), shot_rng(0, 0)) is True
+        assert abs(abs(sketch.sketch_vector()[bits("101")]) - 1.0) <= 1e-12
 
     def test_absent_element_never_hits(self):
-        sketch = PairSketch.create(["000", "011"])
-        assert sketch.query_one("111", shot_rng(0, 1)) is False
+        sketch = PairSketch.create(3, [bits("000"), bits("011")])
+        assert sketch.query_one(bits("111"), shot_rng(0, 1)) is False
 
     def test_quarter_probability_on_four_elements(self):
-        elems = ["000", "011", "101", "110"]
+        elems = [bits("000"), bits("011"), bits("101"), bits("110")]
         hits = 0
         trials = 4000
         for i in range(trials):
-            sketch = PairSketch.create(elems)
-            hits += sketch.query_one("011", shot_rng(5, i))
+            sketch = PairSketch.create(3, elems)
+            hits += sketch.query_one(bits("011"), shot_rng(5, i))
         sigma = np.sqrt(0.25 * 0.75 / trials)
         assert abs(hits / trials - 0.25) < 4 * sigma
 
     def test_budget_single_multi_controlled_gate(self):
-        sketch = PairSketch.create(["000", "011"])
-        sketch.query_one("000", shot_rng(1, 0))
+        sketch = PairSketch.create(3, [bits("000"), bits("011")])
+        sketch.query_one(bits("000"), shot_rng(1, 0))
         assert sketch.tally.mcx_by_controls() == {3: 1}
 
 
 class TestQueryPair:
     def test_plus_state_yields_plus(self):
-        sketch = PairSketch.create(["010", "110"])
-        assert sketch.query_pair("010", "110", shot_rng(0, 0)) is PvmOutcome.PLUS
+        sketch = PairSketch.create(3, [bits("010"), bits("110")])
+        assert sketch.query_pair(bits("010"), bits("110"), shot_rng(0, 0)) is PvmOutcome.PLUS
         vec = sketch.sketch_vector()
-        expected = indicator_vector(["010", "110"], 3)
+        expected = indicator_vector([bits("010"), bits("110")], 3)
         phase = np.vdot(expected, vec)
         assert np.abs(vec - phase * expected).max() <= 1e-9
 
     def test_orthogonal_state_yields_zero_unchanged(self):
-        sketch = PairSketch.create(["001", "111"])
+        sketch = PairSketch.create(3, [bits("001"), bits("111")])
         before = sketch.sketch_vector()
-        assert sketch.query_pair("010", "100", shot_rng(0, 1)) is PvmOutcome.ZERO
+        assert sketch.query_pair(bits("010"), bits("100"), shot_rng(0, 1)) is PvmOutcome.ZERO
         after = sketch.sketch_vector()
         phase = np.vdot(before, after)
         assert abs(abs(phase) - 1.0) <= 1e-9
         assert np.abs(after - phase * before).max() <= 1e-9
 
     def test_uniform_eight_probabilities_match_projectors(self):
-        elems = [f"{i:03b}"[::-1] for i in range(8)]
-        sketch = PairSketch.create(elems)
-        p_plus, p_minus, p_zero = sketch.pair_probabilities("000", "100")
+        sketch = PairSketch.create(3, range(8))
+        p_plus, p_minus, p_zero = sketch.pair_probabilities(bits("000"), bits("100"))
         assert p_plus == pytest.approx(0.25, abs=1e-10)
         assert p_minus == pytest.approx(0.0, abs=1e-10)
         assert p_zero == pytest.approx(0.75, abs=1e-10)
 
     def test_identical_elements_rejected(self):
-        sketch = PairSketch.create(["00", "11"])
+        sketch = PairSketch.create(2, [bits("00"), bits("11")])
         with pytest.raises(DomainError):
-            sketch.query_pair("01", "01", shot_rng(0, 0))
+            sketch.query_pair(bits("01"), bits("01"), shot_rng(0, 0))
 
     def test_zero_branch_matches_complement_projection(self):
         # post-state on zero equals the renormalized complement projection
         vec = random_vector(3, seed=9)
         for i in range(40):
-            sketch = PairSketch.create(["000"])
+            sketch = PairSketch.create(3, [bits("000")])
             set_sketch_vector(sketch, vec)
-            out = sketch.query_pair("010", "101", shot_rng(11, i))
+            out = sketch.query_pair(bits("010"), bits("101"), shot_rng(11, i))
             if out is not PvmOutcome.ZERO:
                 continue
-            ia, ib = element_index("010"), element_index("101")
+            ia, ib = bits("010"), bits("101")
             proj = vec.copy()
             plus = (proj[ia] + proj[ib]) / 2
             minus = (proj[ia] - proj[ib]) / 2
@@ -155,11 +171,10 @@ class TestQueryPair:
 
     def test_gate_budget(self):
         k = 4
-        elems = [f"{i:04b}"[::-1] for i in range(16)]
         for trial in range(30):
-            sketch = PairSketch.create(elems)
+            sketch = PairSketch.create(k, range(16))
             base = dict(sketch.tally.counts)
-            sketch.query_pair("0000", "1111", shot_rng(21, trial))
+            sketch.query_pair(bits("0000"), bits("1111"), shot_rng(21, trial))
             used = {key: sketch.tally.counts[key] - base.get(key, 0)
                     for key in sketch.tally.counts}
             assert used.get("h", 0) <= 2
@@ -168,37 +183,37 @@ class TestQueryPair:
             assert used.get(("mcx", k), 0) <= 2
 
     def test_probabilities_sum_to_one(self):
-        sketch = PairSketch.create(["0010", "0111", "1001"])
-        p = sketch.pair_probabilities("0010", "1001")
+        sketch = PairSketch.create(4, [bits("0010"), bits("0111"), bits("1001")])
+        p = sketch.pair_probabilities(bits("0010"), bits("1001"))
         assert sum(p) == pytest.approx(1.0, abs=1e-10)
 
     def test_ancillas_clean_after_every_outcome(self):
         for i in range(30):
-            sketch = PairSketch.create(["000", "011", "110"])
-            sketch.query_pair("000", "110", shot_rng(31, i))
+            sketch = PairSketch.create(3, [bits("000"), bits("011"), bits("110")])
+            sketch.query_pair(bits("000"), bits("110"), shot_rng(31, i))
             assert sketch.ancillas_clean()
 
 
 class TestUpdate:
     def test_transposition_moves_basis_state(self):
-        sketch = PairSketch.create(["011"])
-        sketch.update_transposition("011", "101")
-        assert abs(abs(sketch.sketch_vector()[element_index("101")]) - 1.0) <= 1e-9
+        sketch = PairSketch.create(3, [bits("011")])
+        sketch.update_transposition(bits("011"), bits("101"))
+        assert abs(abs(sketch.sketch_vector()[bits("101")]) - 1.0) <= 1e-9
 
     def test_untouched_amplitude_preserved(self):
-        sketch = PairSketch.create(["000", "011", "110"])
+        sketch = PairSketch.create(3, [bits("000"), bits("011"), bits("110")])
         before = sketch.sketch_vector()
-        sketch.update_transposition("011", "101")
+        sketch.update_transposition(bits("011"), bits("101"))
         after = sketch.sketch_vector()
-        idx = element_index("110")
+        idx = bits("110")
         assert after[idx] == pytest.approx(before[idx], abs=1e-9)
 
     def test_random_state_matches_permutation_oracle(self):
         vec = random_vector(3, seed=4)
-        sketch = PairSketch.create(["000"])
+        sketch = PairSketch.create(3, [bits("000")])
         set_sketch_vector(sketch, vec)
-        sketch.update_transposition("110", "101")
-        want = transposition_matrix("110", "101", 3) @ vec
+        sketch.update_transposition(bits("110"), bits("101"))
+        want = transposition_matrix(bits("110"), bits("101"), 3) @ vec
         got = sketch.sketch_vector()
         phase = np.vdot(want, got)
         assert abs(abs(phase) - 1.0) <= 1e-9
@@ -206,7 +221,7 @@ class TestUpdate:
 
     def test_empty_permutation_is_identity(self):
         vec = random_vector(2, seed=8)
-        sketch = PairSketch.create(["00"])
+        sketch = PairSketch.create(2, [bits("00")])
         set_sketch_vector(sketch, vec)
         sketch.update([])
         got = sketch.sketch_vector()
@@ -215,10 +230,10 @@ class TestUpdate:
 
     def test_overlapping_transpositions_compose_in_order(self):
         # (a b) then (b c) sends |a> -> |b> -> |c>
-        a, b, c = "001", "010", "100"
-        sketch = PairSketch.create([a])
+        a, b, c = bits("001"), bits("010"), bits("100")
+        sketch = PairSketch.create(3, [a])
         sketch.update([(a, b), (b, c)])
-        assert abs(abs(sketch.sketch_vector()[element_index(c)]) - 1.0) <= 1e-9
+        assert abs(abs(sketch.sketch_vector()[c]) - 1.0) <= 1e-9
 
     @pytest.mark.parametrize("width", [2, 3, 4])
     def test_random_permutations_match_matrix_composition(self, width):
@@ -228,12 +243,9 @@ class TestUpdate:
             pairs = []
             for _ in range(count):
                 ia, ib = rng.choice(1 << width, size=2, replace=False)
-                pairs.append((
-                    "".join(str((int(ia) >> q) & 1) for q in range(width)),
-                    "".join(str((int(ib) >> q) & 1) for q in range(width)),
-                ))
+                pairs.append((int(ia), int(ib)))
             vec = random_vector(width, seed=int(rng.integers(1 << 30)))
-            sketch = PairSketch.create(["0" * width])
+            sketch = PairSketch.create(width, [0])
             set_sketch_vector(sketch, vec)
             sketch.update(pairs)
             want = vec.copy()
@@ -246,9 +258,9 @@ class TestUpdate:
 
     def test_transposition_budget(self):
         k = 4
-        sketch = PairSketch.create([f"{i:04b}"[::-1] for i in range(16)])
+        sketch = PairSketch.create(k, range(16))
         base = dict(sketch.tally.counts)
-        sketch.update_transposition("0000", "1111")
+        sketch.update_transposition(bits("0000"), bits("1111"))
         used = {key: sketch.tally.counts[key] - base.get(key, 0) for key in sketch.tally.counts}
         assert used.get("h", 0) <= 2
         assert used.get("cx", 0) <= 2 * k
@@ -256,6 +268,6 @@ class TestUpdate:
         assert used.get(("mcx", k), 0) <= 2
 
     def test_degenerate_transposition_rejected(self):
-        sketch = PairSketch.create(["00", "01"])
+        sketch = PairSketch.create(2, [bits("00"), bits("01")])
         with pytest.raises(DomainError):
-            sketch.update_transposition("01", "01")
+            sketch.update_transposition(bits("01"), bits("01"))

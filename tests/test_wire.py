@@ -9,14 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmstream.errors import FrameError, ProtocolError, TransportError
-from hmstream.instances import EdgeUpdate, EndOfStream, VertexUpdate, generate
+from hmstream.instances import EdgeUpdate, EndOfStream, VertexUpdate, generate, to_stream
 from hmstream.schema import load_schema, validate as validate_schema
 from hmstream.wire import (
     ERR_EXHAUSTED,
     ERR_MALFORMED,
     ERR_PROTOCOL,
-    Edge,
-    End,
     Error,
     Hello,
     HelloAck,
@@ -24,7 +22,6 @@ from hmstream.wire import (
     Result,
     StreamServer,
     StreamSession,
-    Vertex,
     decode,
     encode,
     frame,
@@ -41,9 +38,9 @@ message_strategy = st.one_of(
     st.just(Hello()),
     st.builds(HelloAck, st.integers(0, 255), U64, U64, U64),
     st.just(Next()),
-    st.builds(Vertex, U64, BIT),
-    st.builds(Edge, U64, U64, BIT),
-    st.just(End()),
+    st.builds(VertexUpdate, U64, BIT),
+    st.builds(EdgeUpdate, U64, U64, BIT),
+    st.just(EndOfStream()),
     st.builds(Result, st.integers(0, 2), U64),
     st.builds(Error, st.integers(0, 255), st.text(max_size=200)),
 )
@@ -65,8 +62,8 @@ class TestCodec:
         assert decode(encode(msg)) == msg
 
     def test_every_message_type_round_trips(self):
-        for msg in (Hello(), HelloAck(1, 32, 8, 9), Next(), Vertex(31, 1),
-                    Edge(0, 31, 0), End(), Result(2, 31), Error(3, "boom")):
+        for msg in (Hello(), HelloAck(1, 32, 8, 9), Next(), VertexUpdate(31, 1),
+                    EdgeUpdate(0, 31, 0), EndOfStream(), Result(2, 31), Error(3, "boom")):
             assert decode(encode(msg)) == msg
 
     def test_rejects_unknown_tag(self):
@@ -75,9 +72,9 @@ class TestCodec:
 
     def test_rejects_wrong_body_size(self):
         with pytest.raises(FrameError):
-            decode(encode(Vertex(1, 0)) + b"\x00")
+            decode(encode(VertexUpdate(1, 0)) + b"\x00")
         with pytest.raises(FrameError):
-            decode(encode(Edge(1, 2, 0))[:-1])
+            decode(encode(EdgeUpdate(1, 2, 0))[:-1])
 
     def test_rejects_bad_label_and_outcome(self):
         bad_vertex = struct.pack("<BQB", 0x04, 3, 7)
@@ -128,6 +125,7 @@ class TestServer:
         assert kinds[32:40] == [EdgeUpdate] * 8
         assert kinds[40] == EndOfStream
         assert [u.v for u in updates[:32]] == list(range(32))
+        assert updates == to_stream(server.instance)
 
     def test_no_update_delivered_twice(self, server):
         with StreamSession(server.endpoint) as session:
