@@ -19,7 +19,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from . import boosting, compiler, instances, resources, runners, wire
+from . import boosting, compiler, instances, resources, runners, schema, wire
 from .errors import DomainError, ProtocolError, TransportError
 from .statevector import NoiseConfig, shot_rng
 
@@ -41,23 +41,32 @@ def _parse_alpha(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"alpha must be a rational like 1/4: {exc}")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return value
+def _int_in(lo: int, hi: float = math.inf):
+    """argparse type for an integer in [lo, hi]."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is outside [{lo}, {hi}]")
+        return value
+    return integer
 
 
-def _parse_n_list(text: str) -> list[int]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        out.append(int(float(part)))
-    if not out:
-        raise argparse.ArgumentTypeError("empty n list")
-    return out
+def _count(text: str) -> int:
+    """An integer, also in float notation such as 1e10."""
+    try:
+        return int(float(text))
+    except OverflowError:
+        raise argparse.ArgumentTypeError(f"{text!r} is too large") from None
+
+
+def _list_of(item):
+    """argparse type for a non-empty comma-separated list of `item` values."""
+    def comma_list(text: str) -> list:
+        out = [item(part) for part in text.split(",") if part.strip()]
+        if not out:
+            raise argparse.ArgumentTypeError("empty list")
+        return out
+    return comma_list
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -77,27 +86,20 @@ def dump_config(values: dict[str, str]) -> str:
     return "".join(f"{k} = {v}\n" for k, v in sorted(values.items()))
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
-    """Fill unset flags from --config; explicit command-line flags win."""
-    if not getattr(args, "config", None):
-        return
-    values = _load_config(args.config)
-    given = {a.split("=")[0].lstrip("-").replace("-", "_") for a in argv if a.startswith("--")}
-    for key, raw in values.items():
+def _config_flags(args: argparse.Namespace) -> list[str]:
+    """The --config file as flags of args.command. Keys the command does not
+    take are skipped; a switch is set by 1, true or yes."""
+    flags = []
+    for key, value in _load_config(args.config).items():
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in given:
+        if dest in ("command", "func") or not hasattr(args, dest):
             continue
-        current = getattr(args, dest)
-        if isinstance(current, bool):
-            setattr(args, dest, raw.lower() in ("1", "true", "yes"))
-        elif dest == "alpha":
-            setattr(args, dest, _parse_alpha(raw))
-        elif isinstance(current, int) and not isinstance(current, bool):
-            setattr(args, dest, int(raw))
-        elif isinstance(current, float):
-            setattr(args, dest, float(raw))
-        else:
-            setattr(args, dest, raw)
+        flag = "--" + dest.replace("_", "-")
+        if not isinstance(getattr(args, dest), bool):
+            flags.append(f"{flag}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            flags.append(flag)
+    return flags
 
 
 def _instance_from_args(args) -> instances.HMInstance:
@@ -132,12 +134,8 @@ def cmd_serve(args) -> int:
     problems = instances.validate(instance)
     if problems:
         raise DomainError("; ".join(problems))
-    try:
-        server = wire.StreamServer(instance, host=args.host, port=args.port, log_path=args.log)
-        server.start()
-    except OSError as exc:
-        print(f"bind failed: {exc}", file=sys.stderr)
-        return EXIT_TRANSPORT
+    server = wire.StreamServer(instance, host=args.host, port=args.port, log_path=args.log)
+    server.start()
     print(f"serving n={instance.n} edges={instance.num_edges} case={instance.case} "
           f"on {server.endpoint}", flush=True)
     stop = {"flag": False}
@@ -233,7 +231,13 @@ def cmd_figure2b(args) -> int:
     distributions: list[tuple[int, float, runners.OutcomeDistribution]] = []
     if args.from_results:
         for path in args.from_results.split(","):
-            doc = json.loads(Path(path).read_text())
+            try:
+                doc = json.loads(Path(path).read_text())
+                problems = schema.validate(doc, schema.load_schema("results"))
+            except ValueError as exc:
+                problems = [str(exc)]
+            if problems:
+                raise DomainError(f"{path} is not a results document: {'; '.join(problems)}")
             n = doc["instance"]["n"]
             shots = doc["shots"]
             counts = doc["counts"]
@@ -245,10 +249,9 @@ def cmd_figure2b(args) -> int:
     else:
         if not args.n_list:
             raise DomainError("need --n-list or --from-results")
-        gammas = [float(g) for g in args.gamma_list.split(",")]
         for n in args.n_list:
             instance = instances.generate(n, args.alpha, "yes", args.seed)
-            for gamma in gammas:
+            for gamma in args.gamma_list:
                 distributions.append((n, gamma, runners.depolarized_distribution(instance, gamma)))
     for n, noise_level, dist in distributions:
         copies = boosting.min_copies_general(dist.p_correct, dist.p_wrong,
@@ -315,9 +318,8 @@ def cmd_vote(args) -> int:
             rows.append([f"{float(a):.4f}", k, math.ceil(Fraction(3, 2) / a)])
         _write_text(args.out, _csv_text(["alpha", "min_copies", "copies_bound"], rows))
     if args.k_list:
-        ks = [int(k) for k in args.k_list.split(",")]
         rows = []
-        for k in ks:
+        for k in args.k_list:
             tol, feasible = boosting.max_tolerable_infidelity(k, alpha, budget=args.budget)
             rows.append([k, f"{1.0 - boosting.vote_success(k, alpha):.6f}",
                          f"{tol:.6f}", int(feasible)])
@@ -375,32 +377,38 @@ def cmd_estimate(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are one stderr line and exit 2."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="hmstream",
-                                     description="Streamed-matching quantum sketch toolkit")
+    parser = _Parser(prog="hmstream", description="Streamed-matching quantum sketch toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_instance_flags(p):
         p.add_argument("--n", type=int, default=32)
         p.add_argument("--alpha", type=_parse_alpha, default=Fraction(1, 4))
         p.add_argument("--case", choices=instances.CASES, default="yes")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_in(0), default=0)
         p.add_argument("--instance", help="archived instance JSON to replay")
         p.add_argument("--config", help="key = value file with these flag names")
 
     p = sub.add_parser("serve", help="serve an instance stream over TCP")
     add_instance_flags(p)
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=0)
+    p.add_argument("--port", type=_int_in(0, 65535), default=0)
     p.add_argument("--log", help="session log JSONL path")
     p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser("run", help="run sketch shots locally or against a server")
     add_instance_flags(p)
-    p.add_argument("--shots", type=_positive_int, default=2000)
+    p.add_argument("--shots", type=_int_in(1), default=2000)
     p.add_argument("--endpoint", help=f"host:port (default ${ENDPOINT_ENV})")
     p.add_argument("--local", action="store_true", help="bypass the network")
-    p.add_argument("--retries", type=int, default=2)
+    p.add_argument("--retries", type=_int_in(0), default=2)
     p.add_argument("--noise-p", type=float, default=0.0)
     p.add_argument("--noise-seed", type=int, default=0)
     p.add_argument("--exact", action="store_true", help="embed the exact distribution")
@@ -408,10 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("figure2b", help="boosted space totals per (n, noise)")
-    p.add_argument("--n-list", type=_parse_n_list)
+    p.add_argument("--n-list", type=_list_of(_count))
     p.add_argument("--alpha", type=_parse_alpha, default=Fraction(1, 4))
-    p.add_argument("--gamma-list", default="1.0")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--gamma-list", type=_list_of(float), default=[1.0])
+    p.add_argument("--seed", type=_int_in(0), default=0)
     p.add_argument("--target", type=float, default=2.0 / 3.0)
     p.add_argument("--k-max", type=int, default=2001)
     p.add_argument("--from-results", help="comma-separated results JSON files")
@@ -419,7 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_figure2b)
 
     p = sub.add_parser("counts", help="logical and physical gate-count table")
-    p.add_argument("--n-list", type=_parse_n_list, default=[4, 8, 16, 32, 64])
+    p.add_argument("--n-list", type=_list_of(_count), default=[4, 8, 16, 32, 64])
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_counts)
@@ -429,18 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", type=float, default=2.0 / 3.0)
     p.add_argument("--budget", type=float, default=1.0 / 3.0)
     p.add_argument("--alpha-grid", help="lo:hi:step")
-    p.add_argument("--k-list", help="comma-separated copy counts")
+    p.add_argument("--k-list", type=_list_of(int), help="comma-separated copy counts")
     p.add_argument("--out", default="-")
     p.set_defaults(func=cmd_vote)
 
     p = sub.add_parser("bound", help="classical space: best known and lower bound")
-    p.add_argument("--n", type=lambda s: int(float(s)), required=True)
+    p.add_argument("--n", type=_count, required=True)
     p.add_argument("--alpha", type=_parse_alpha, default=Fraction(1, 4))
     p.add_argument("--epsilon", type=float, default=1.0 / 3.0)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("estimate", help="fault-tolerant resource table")
-    p.add_argument("--n-list", type=_parse_n_list, required=True)
+    p.add_argument("--n-list", type=_list_of(_count), required=True)
     p.add_argument("--code", choices=resources.CODE_FAMILIES, default="two-gross")
     p.add_argument("--p", type=float, default=1e-4)
     p.add_argument("--gamma", type=float, default=0.9975)
@@ -458,8 +466,14 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        try:
+            flags = _config_flags(args)
+        except (OSError, ValueError) as exc:
+            parser.error(f"--config: {exc}")
+        at = argv.index(args.command) + 1  # file flags first: the command line's own win
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
     try:
-        _apply_config(args, argv)
         return args.func(args)
     except DomainError as exc:
         print(f"domain error: {exc}", file=sys.stderr)
@@ -467,6 +481,9 @@ def main(argv=None) -> int:
     except (TransportError, ProtocolError) as exc:
         print(f"transport error: {exc}", file=sys.stderr)
         return EXIT_TRANSPORT
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def entry() -> None:  # console-script hook

@@ -21,10 +21,11 @@ that circuit reproduces the closed-form logical counts exactly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 
 from .errors import DecompositionError, DomainError
-from .statevector import GateOp, GateTally, cx, h, mcx, t, tdg, x
+from .statevector import GateOp, cx, h, mcx, t, tdg, x
 
 
 def log2_exact(n: int) -> int:
@@ -252,11 +253,15 @@ def worst_case_ops(n: int) -> tuple[list[GateOp], SketchLayout]:
     return ops, lay
 
 
-def tally_ops(ops) -> GateTally:
-    tally = GateTally()
-    for op in ops:
-        tally.add(op)
-    return tally
+def tally_ops(ops: list[GateOp]) -> GateCounts:
+    """Gate totals of a circuit: T and Tdg both count as ``t``, ``mcx`` is
+    keyed by control count, and a kind with no field raises DomainError."""
+    kinds = Counter(op.kind for op in ops)
+    unknown = kinds.keys() - {"h", "x", "t", "tdg", "cx", "mcx"}
+    if unknown:
+        raise DomainError(f"no gate count for kinds {sorted(unknown)}")
+    return GateCounts(h=kinds["h"], x=kinds["x"], t=kinds["t"] + kinds["tdg"], cnot=kinds["cx"],
+                      mcx=dict(Counter(len(op.controls) for op in ops if op.kind == "mcx")))
 
 
 def logical_counts_hm(n: int) -> GateCounts:
@@ -275,8 +280,7 @@ def physical_counts_hm(n: int) -> GateCounts:
     """Tally of the fully decomposed worst-case circuit."""
     ops, lay = worst_case_ops(n)
     toffoli_level, _ = decompose_circuit(ops, lay.num_qubits)
-    tally = tally_ops(expand_physical(toffoli_level))
-    return GateCounts(h=tally.h, x=tally.x, t=tally.t, cnot=tally.cnot, mcx={}, space=lay.width)
+    return replace(tally_ops(expand_physical(toffoli_level)), space=lay.width)
 
 
 def physical_closed_forms(n: int) -> dict[str, int]:

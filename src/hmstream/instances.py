@@ -150,19 +150,23 @@ def to_json(instance: HMInstance) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-def from_json(text: str) -> HMInstance:
-    doc = json.loads(text)
-    edges = tuple((int(u), int(v)) for u, v, _ in doc["edges"])
-    z = tuple(int(zz) for _, _, zz in doc["edges"])
-    instance = HMInstance(
-        n=int(doc["n"]),
-        alpha=Fraction(int(doc["alpha"][0]), int(doc["alpha"][1])),
-        x=tuple(int(ch) for ch in doc["x"]),
-        edges=edges,
-        z=z,
-        case=doc["case"],
-        seed=int(doc["seed"]),
-    )
+def from_json(text: str | bytes) -> HMInstance:
+    """Parse an archived instance; a decode, shape or consistency error is a DomainError."""
+    try:
+        doc = json.loads(text)
+        edges = tuple((int(u), int(v)) for u, v, _ in doc["edges"])
+        z = tuple(int(zz) for _, _, zz in doc["edges"])
+        instance = HMInstance(
+            n=int(doc["n"]),
+            alpha=Fraction(int(doc["alpha"][0]), int(doc["alpha"][1])),
+            x=tuple(int(ch) for ch in doc["x"]),
+            edges=edges,
+            z=z,
+            case=doc["case"],
+            seed=int(doc["seed"]),
+        )
+    except (ValueError, TypeError, KeyError, IndexError, ZeroDivisionError) as exc:
+        raise DomainError(f"archived instance is malformed: {exc!r}") from None
     problems = validate(instance)
     if problems:
         raise DomainError("archived instance is inconsistent: " + "; ".join(problems))
@@ -174,4 +178,4 @@ def save(instance: HMInstance, path: str | Path) -> None:
 
 
 def load(path: str | Path) -> HMInstance:
-    return from_json(Path(path).read_text())
+    return from_json(Path(path).read_bytes())

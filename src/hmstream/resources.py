@@ -82,14 +82,19 @@ class FactoryConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "FactoryConfig":
-        doc = json.loads(Path(path).read_text())
-        kwargs = {}
-        if "surface" in doc:
-            kwargs["surface"] = {float(k): int(v) for k, v in doc["surface"].items()}
-        if "two_gross_steps" in doc:
-            kwargs["two_gross_steps"] = tuple((float(a), int(b)) for a, b in doc["two_gross_steps"])
-        if "bb360" in doc:
-            kwargs["bb360"] = int(doc["bb360"])
+        """An object with any of ``surface`` ({p: footprint}), ``two_gross_steps``
+        ([[floor, footprint], ...]) and ``bb360``; anything else is a DomainError."""
+        fields = {"surface": lambda table: {float(k): int(v) for k, v in table.items()},
+                  "two_gross_steps": lambda rows: tuple((float(a), int(b)) for a, b in rows),
+                  "bb360": int}
+        try:
+            kwargs = {key: fields[key](value)
+                      for key, value in json.loads(Path(path).read_text()).items()}
+        except (ValueError, TypeError, AttributeError, KeyError) as exc:
+            raise DomainError(f"factory config {path} is not an object of surface, "
+                              f"two_gross_steps and bb360: {exc!r}") from None
+        if not all(kwargs.values()):
+            raise DomainError(f"factory config {path} has an empty entry")
         return cls(**kwargs)
 
 

@@ -30,7 +30,6 @@ import numpy as np
 from .errors import DomainError
 from .statevector import (
     GateOp,
-    GateTally,
     NoiseConfig,
     PvmOutcome,
     QuantumState,
@@ -65,7 +64,6 @@ class PairSketch:
         self.state = state
         self.anc1 = width
         self.anc2 = width + 1
-        self.tally = GateTally()
         self.noise = noise
         self.noise_rng = noise_rng
 
@@ -104,19 +102,15 @@ class PairSketch:
     # -- internals ----------------------------------------------------------
 
     def _emit(self, op: GateOp) -> None:
+        """Apply one gate; with noise, each control then depolarizes with the target."""
         apply(self.state, op)
-        self.tally.add(op)
         if self.noise is not None and self.noise.two_qubit_depolarizing_p > 0.0:
             p = self.noise.two_qubit_depolarizing_p
-            rng = self.noise_rng
-            if op.kind == "cx":
-                inject_depolarizing(self.state, op.controls[0][0], op.target, p, rng)
-            elif op.kind == "mcx":
-                for q, _ in op.controls:
-                    inject_depolarizing(self.state, q, op.target, p, rng)
+            for q, _ in op.controls:
+                inject_depolarizing(self.state, q, op.target, p, self.noise_rng)
 
     def apply_gate(self, op: GateOp) -> None:
-        """Emit one gate through the tally and noise hooks."""
+        """Emit one gate through the noise hook."""
         self._emit(op)
 
     def sketch_vector(self) -> np.ndarray:

@@ -18,8 +18,7 @@ qubit is 0, so no explicit basis-flip conjugation is needed at this level.
 from __future__ import annotations
 
 import functools
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -344,41 +343,3 @@ def shot_rng(seed: int, shot_index: int) -> np.random.Generator:
     SeedSequence, so shots are independent and reproducible."""
     entropy = int(seed) & 0xFFFFFFFFFFFFFFFF
     return np.random.default_rng(np.random.SeedSequence(entropy=entropy, spawn_key=(int(shot_index),)))
-
-
-# ---------------------------------------------------------------------------
-# gate accounting
-
-
-@dataclass
-class GateTally:
-    """Counts of emitted gates, multi-controlled X keyed by control count."""
-
-    counts: Counter = field(default_factory=Counter)
-
-    def add(self, op: GateOp) -> None:
-        if op.kind == "mcx":
-            self.counts[("mcx", len(op.controls))] += 1
-        elif op.kind in ("t", "tdg"):
-            self.counts["t"] += 1
-        else:
-            self.counts[op.kind] += 1
-
-    @property
-    def h(self) -> int:
-        return self.counts["h"]
-
-    @property
-    def x(self) -> int:
-        return self.counts["x"]
-
-    @property
-    def t(self) -> int:
-        return self.counts["t"]
-
-    @property
-    def cnot(self) -> int:
-        return self.counts["cx"]
-
-    def mcx_by_controls(self) -> dict[int, int]:
-        return {key[1]: v for key, v in self.counts.items() if isinstance(key, tuple) and key[0] == "mcx"}

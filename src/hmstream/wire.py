@@ -251,6 +251,7 @@ class StreamServer:
         self.log_path = Path(log_path) if log_path else None
         self.session_timeout = session_timeout
         self.session_logs: list[dict] = []
+        self._log_file = None
         self._lock = threading.Lock()
         self._next_session = 0
         self._sock: socket.socket | None = None
@@ -260,10 +261,18 @@ class StreamServer:
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> tuple[str, int]:
+        """Open the session log (OSError), then bind and listen (TransportError)."""
+        if self.log_path is not None:
+            self._log_file = self.log_path.open("a")
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        sock.bind((self.host, self.port))
-        sock.listen(64)
+        try:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            sock.bind((self.host, self.port))
+            sock.listen(64)
+        except (OSError, OverflowError) as exc:
+            sock.close()
+            self.stop()
+            raise TransportError(f"cannot bind {self.host}:{self.port}: {exc}") from exc
         sock.settimeout(0.2)
         self._sock = sock
         self.host, self.port = sock.getsockname()
@@ -278,6 +287,10 @@ class StreamServer:
         if self._sock is not None:
             self._sock.close()
             self._sock = None
+        with self._lock:
+            if self._log_file is not None:
+                self._log_file.close()
+                self._log_file = None
 
     def __enter__(self) -> "StreamServer":
         self.start()
@@ -313,9 +326,9 @@ class StreamServer:
     def _log(self, entry: dict) -> None:
         with self._lock:
             self.session_logs.append(entry)
-            if self.log_path is not None:
-                with self.log_path.open("a") as fh:
-                    fh.write(json.dumps(entry, sort_keys=True) + "\n")
+            if self._log_file is not None:
+                self._log_file.write(json.dumps(entry, sort_keys=True) + "\n")
+                self._log_file.flush()
 
     def _serve_session(self, conn: socket.socket, session_id: int) -> None:
         conn.settimeout(self.session_timeout)

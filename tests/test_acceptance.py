@@ -81,7 +81,7 @@ def test_criterion_03_logical_gate_counts():
             assert layout.width == space
             assert tally.h == h_count
             assert tally.cnot == cx_count
-            assert tally.mcx_by_controls() == {L: mcx_v, L + 2: mcx_e}
+            assert tally.mcx == {L: mcx_v, L + 2: mcx_e}
 
 
 def test_criterion_04_physical_gate_counts_and_equivalence():

@@ -191,6 +191,14 @@ class TestConfigFile:
         assert doc["shots"] == 16
         assert doc["seed"] == 5  # explicit flag beats config
 
+    def test_abbreviated_flag_beats_config(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("shots = 4\nn = 8\nseed = 3\nlocal = yes\nport = 1\n")
+        out = tmp_path / "results.json"
+        assert main(["run", "--config", str(cfg), "--see", "5", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["mode"], doc["shots"], doc["seed"]) == ("local", 4, 5)
+
     def test_dump_parse_round_trip(self, tmp_path):
         values = {"shots": "12", "n": "8", "alpha": "1/4"}
         text = dump_config(values)
@@ -295,6 +303,58 @@ class TestTables:
                    "--out", str(out)])
         assert rc == 0
         assert "unbounded" in out.read_text()
+
+
+BAD_INPUT_FILES = {
+    "shots0.cfg": b"shots = 0\n",
+    "noise.cfg": b"noise-p = abc\n",
+    "case.cfg": b"case = maybe\n",
+    "no-equals.cfg": b"shots 4\n",
+    "keys.json": b'{"n": 8}\n',
+    "list.json": b"[1, 2]\n",
+    "broken.json": b'{"n": \n',
+    "binary.json": b"\xff\xfe{}\n",
+    "empty.json": b"{}\n",
+}
+
+BAD_INPUTS = [
+    (["run", "--local", "--config", "{d}/shots0.cfg"], 2),
+    (["run", "--local", "--config", "{d}/noise.cfg"], 2),
+    (["run", "--local", "--config", "{d}/case.cfg"], 2),
+    (["run", "--local", "--config", "{d}/missing.cfg"], 2),
+    (["run", "--local", "--config", "{d}/no-equals.cfg"], 2),
+    (["figure2b", "--n-list", "4", "--gamma-list", "abc"], 2),
+    (["vote", "--k-list", "abc"], 2),
+    (["run", "--local", "--instance", "{d}/missing.json"], 2),
+    (["estimate", "--n-list", "1e10", "--factory-config", "{d}/missing.json"], 2),
+    (["figure2b", "--from-results", "{d}/missing.json"], 2),
+    (["run", "--local", "--n", "8", "--shots", "1", "--out", "{d}/missing/r.json"], 2),
+    (["run", "--local", "--instance", "{d}/keys.json"], 4),
+    (["run", "--local", "--instance", "{d}/list.json"], 4),
+    (["run", "--local", "--instance", "{d}/broken.json"], 4),
+    (["run", "--local", "--instance", "{d}/binary.json"], 4),
+    (["figure2b", "--from-results", "{d}/empty.json"], 4),
+    (["estimate", "--n-list", "1e10", "--factory-config", "{d}/list.json"], 4),
+    (["serve", "--n", "8", "--port", "99999"], 2),
+    (["run", "--endpoint", "127.0.0.1:1", "--n", "8", "--shots", "1", "--retries", "-1"], 2),
+    (["run", "--local", "--n", "8", "--shots", "0"], 2),
+    (["run", "--local", "--n", "8", "--shots", "1", "--seed", "-1"], 2),
+    (["counts", "--n-list", "1e400"], 2),
+    # an unbindable address: serve opens its log first, so this exits 2, not 3
+    (["serve", "--n", "8", "--host", "192.0.2.1", "--log", "{d}/missing/log.jsonl"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", BAD_INPUTS, ids=[" ".join(a) for a, _ in BAD_INPUTS])
+def test_bad_input_exits_with_one_stderr_line(tmp_path, capsys, argv, code):
+    for name, text in BAD_INPUT_FILES.items():
+        (tmp_path / name).write_bytes(text)
+    try:
+        rc = main([arg.format(d=tmp_path) for arg in argv])
+    except SystemExit as exc:
+        rc = exc.code
+    err = capsys.readouterr().err
+    assert (rc, err.count("\n")) == (code, 1), err
 
 
 class TestServeCommand:

@@ -106,7 +106,7 @@ class TestCounts:
         want = logical_counts_hm(n)
         assert tally.h == want.h
         assert tally.cnot == want.cnot
-        assert tally.mcx_by_controls() == want.mcx
+        assert tally.mcx == want.mcx
         assert lay.width == want.space
 
     @pytest.mark.parametrize("n", sorted(PHYSICAL_TABLE))

@@ -3,9 +3,11 @@ import itertools
 import numpy as np
 import pytest
 
+import hmstream.sketch
+from hmstream.compiler import tally_ops
 from hmstream.errors import DomainError
 from hmstream.sketch import PairSketch
-from hmstream.statevector import PvmOutcome, shot_rng
+from hmstream.statevector import PvmOutcome, apply, shot_rng
 
 
 def bits(text):
@@ -35,6 +37,19 @@ def set_sketch_vector(sketch, vec):
     sketch.state.amps = full
 
 
+@pytest.fixture
+def emitted(monkeypatch):
+    """Every gate the sketch applies, in order."""
+    ops = []
+
+    def record(state, op):
+        ops.append(op)
+        return apply(state, op)
+
+    monkeypatch.setattr(hmstream.sketch, "apply", record)
+    return ops
+
+
 def random_vector(width, seed):
     rng = np.random.default_rng(seed)
     v = rng.normal(size=1 << width) + 1j * rng.normal(size=1 << width)
@@ -42,12 +57,13 @@ def random_vector(width, seed):
 
 
 class TestCreate:
-    def test_full_cube_uses_hadamard_layer(self):
+    def test_full_cube_uses_hadamard_layer(self, emitted):
         k = 3
         elems = [bits("".join(b)) for b in itertools.product("01", repeat=k)]
         sketch = PairSketch.create(k, elems)
-        assert sketch.tally.h == k
-        assert sketch.tally.cnot == 0
+        used = tally_ops(emitted)
+        assert used.h == k
+        assert used.cnot == 0
         assert np.allclose(sketch.sketch_vector(), np.full(8, 1 / np.sqrt(8)))
 
     def test_two_bit_cube_amplitudes(self):
@@ -59,17 +75,17 @@ class TestCreate:
         sketch = PairSketch.create(3, elems)
         assert np.abs(sketch.sketch_vector() - indicator_vector(elems, 3)).max() <= 1e-12
 
-    def test_cube_times_fixed_product(self):
+    def test_cube_times_fixed_product(self, emitted):
         # free x fixed-zero x free: the streamed-matching shape
         elems = [bits(a + "0" + b) for a in "01" for b in "01"]
         sketch = PairSketch.create(3, elems)
-        assert sketch.tally.h == 2
+        assert tally_ops(emitted).h == 2
         assert np.abs(sketch.sketch_vector() - indicator_vector(elems, 3)).max() <= 1e-12
 
-    def test_fixed_one_bits_use_x(self):
+    def test_fixed_one_bits_use_x(self, emitted):
         elems = [bits("10"), bits("11")]
         sketch = PairSketch.create(2, elems)
-        assert sketch.tally.x == 1
+        assert tally_ops(emitted).x == 1
         assert np.abs(sketch.sketch_vector() - indicator_vector(elems, 2)).max() <= 1e-12
 
     def test_empty_set_rejected(self):
@@ -113,10 +129,10 @@ class TestQueryOne:
         sigma = np.sqrt(0.25 * 0.75 / trials)
         assert abs(hits / trials - 0.25) < 4 * sigma
 
-    def test_budget_single_multi_controlled_gate(self):
+    def test_budget_single_multi_controlled_gate(self, emitted):
         sketch = PairSketch.create(3, [bits("000"), bits("011")])
         sketch.query_one(bits("000"), shot_rng(1, 0))
-        assert sketch.tally.mcx_by_controls() == {3: 1}
+        assert tally_ops(emitted).mcx == {3: 1}
 
 
 class TestQueryPair:
@@ -169,18 +185,17 @@ class TestQueryPair:
             phase = np.vdot(proj, got)
             assert np.abs(got - phase * proj).max() <= 1e-9
 
-    def test_gate_budget(self):
+    def test_gate_budget(self, emitted):
         k = 4
         for trial in range(30):
             sketch = PairSketch.create(k, range(16))
-            base = dict(sketch.tally.counts)
+            emitted.clear()
             sketch.query_pair(bits("0000"), bits("1111"), shot_rng(21, trial))
-            used = {key: sketch.tally.counts[key] - base.get(key, 0)
-                    for key in sketch.tally.counts}
-            assert used.get("h", 0) <= 2
-            assert used.get("cx", 0) <= 2 * k
-            assert used.get("x", 0) <= 2
-            assert used.get(("mcx", k), 0) <= 2
+            used = tally_ops(emitted)
+            assert used.h <= 2
+            assert used.cnot <= 2 * k
+            assert used.x <= 2
+            assert used.mcx.get(k, 0) <= 2
 
     def test_probabilities_sum_to_one(self):
         sketch = PairSketch.create(4, [bits("0010"), bits("0111"), bits("1001")])
@@ -256,16 +271,16 @@ class TestUpdate:
             assert abs(abs(phase) - 1.0) <= 1e-9
             assert np.abs(got - phase * want).max() <= 1e-9
 
-    def test_transposition_budget(self):
+    def test_transposition_budget(self, emitted):
         k = 4
         sketch = PairSketch.create(k, range(16))
-        base = dict(sketch.tally.counts)
+        emitted.clear()
         sketch.update_transposition(bits("0000"), bits("1111"))
-        used = {key: sketch.tally.counts[key] - base.get(key, 0) for key in sketch.tally.counts}
-        assert used.get("h", 0) <= 2
-        assert used.get("cx", 0) <= 2 * k
-        assert used.get("x", 0) <= 3 * k
-        assert used.get(("mcx", k), 0) <= 2
+        used = tally_ops(emitted)
+        assert used.h <= 2
+        assert used.cnot <= 2 * k
+        assert used.x <= 3 * k
+        assert used.mcx.get(k, 0) <= 2
 
     def test_degenerate_transposition_rejected(self):
         sketch = PairSketch.create(2, [bits("00"), bits("01")])

@@ -200,6 +200,22 @@ class TestServer:
             with StreamSession(server.endpoint) as session:
                 assert len(list(session.updates())) == 41
 
+    def test_session_log_goes_through_one_handle(self, tmp_path):
+        log = tmp_path / "sessions.jsonl"
+        moved = tmp_path / "moved.jsonl"
+        with StreamServer(generate(8, QUARTER, "no", seed=1), log_path=log) as srv:
+            log.rename(moved)  # the handle opened at start follows the file
+            for _ in range(3):
+                with StreamSession(srv.endpoint) as session:
+                    list(session.updates())
+            wait_for_logs(srv, 3)
+            assert len(moved.read_text().splitlines()) == 3  # flushed per session
+        assert not log.exists()
+
+    def test_unbindable_port_is_transport_error(self, server):
+        with pytest.raises(TransportError):
+            StreamServer(server.instance, port=server.port).start()
+
     def test_mutated_frames_all_rejected(self, server):
         import numpy as np
 
