@@ -55,7 +55,6 @@ from .statevector import (
     allocate,
     apply,
     inject_depolarizing,
-    measure_pvm,
     projector_probability,
     shot_rng,
 )

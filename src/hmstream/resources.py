@@ -82,8 +82,9 @@ class FactoryConfig:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "FactoryConfig":
-        """An object with any of ``surface`` ({p: footprint}), ``two_gross_steps``
-        ([[floor, footprint], ...]) and ``bb360``; anything else is a DomainError."""
+        """An object with any of ``surface`` ({p: footprint}, p positive and
+        finite), ``two_gross_steps`` ([[floor, footprint], ...]) and ``bb360``;
+        anything else is a DomainError."""
         fields = {"surface": lambda table: {float(k): int(v) for k, v in table.items()},
                   "two_gross_steps": lambda rows: tuple((float(a), int(b)) for a, b in rows),
                   "bb360": int}
@@ -95,6 +96,10 @@ class FactoryConfig:
                               f"two_gross_steps and bb360: {exc!r}") from None
         if not all(kwargs.values()):
             raise DomainError(f"factory config {path} has an empty entry")
+        bad = [p for p in kwargs.get("surface", ()) if not (math.isfinite(p) and p > 0.0)]
+        if bad:
+            raise DomainError(f"factory config {path}: surface error rates must be "
+                              f"positive and finite, got {bad}")
         return cls(**kwargs)
 
 

@@ -156,7 +156,12 @@ def _axis_pairs(m: int, target: int):
     return i0, i1
 
 
-@functools.lru_cache(maxsize=None)
+# Entries kept by _controlled_pairs: more than the distinct vertex-update
+# patterns of an n = 1024 shot, so those still hit from one shot to the next.
+_CONTROLLED_PAIRS_CACHE = 4096
+
+
+@functools.lru_cache(maxsize=_CONTROLLED_PAIRS_CACHE)
 def _controlled_pairs(m: int, target: int, controls):
     i0, i1 = _axis_pairs(m, target)
     if controls:
@@ -282,33 +287,6 @@ def pair_pvm_probabilities(state: QuantumState, a: int, b: int):
     p_minus = projector_probability(state, (a, b), -1)
     p_zero = state.norm_squared() - float(abs(state.amps[a]) ** 2) - float(abs(state.amps[b]) ** 2)
     return p_plus, p_minus, max(p_zero, 0.0)
-
-
-def measure_pvm(state: QuantumState, a: int, b: int, rng) -> PvmOutcome:
-    """Sample the {plus, minus, zero} PVM; collapse and renormalize in place."""
-    p_plus, p_minus, p_zero = pair_pvm_probabilities(state, a, b)
-    total = p_plus + p_minus + p_zero
-    if abs(total - 1.0) > 1e-8:
-        raise SimulationError(f"PVM probabilities sum to {total}, not 1")
-    r = rng.random() * total
-    if r < p_plus:
-        c = (state.amps[a] + state.amps[b]) * _INV_SQRT2
-        phase = c / abs(c)
-        state.amps[:] = 0.0
-        state.amps[a] = phase * _INV_SQRT2
-        state.amps[b] = phase * _INV_SQRT2
-        return PvmOutcome.PLUS
-    if r < p_plus + p_minus:
-        c = (state.amps[a] - state.amps[b]) * _INV_SQRT2
-        phase = c / abs(c)
-        state.amps[:] = 0.0
-        state.amps[a] = phase * _INV_SQRT2
-        state.amps[b] = -phase * _INV_SQRT2
-        return PvmOutcome.MINUS
-    state.amps[a] = 0.0
-    state.amps[b] = 0.0
-    state.amps /= np.linalg.norm(state.amps)
-    return PvmOutcome.ZERO
 
 
 # ---------------------------------------------------------------------------

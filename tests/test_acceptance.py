@@ -158,11 +158,10 @@ def test_criterion_07_classical_baseline():
         inst = instances.generate(n, QUARTER, "yes", seed=55)
         pairs = [set(e) for e in inst.edges]
         rng = np.random.default_rng(404)
-        misses = sum(
-            not any(pair <= set(rng.choice(n, size=k_probe, replace=False).tolist())
-                    for pair in pairs)
-            for _ in range(subset_trials)
-        )
+        misses = 0
+        for _ in range(subset_trials):
+            subset = set(rng.choice(n, size=k_probe, replace=False).tolist())
+            misses += not any(pair <= subset for pair in pairs)
         bound = runners.collision_bound(n, QUARTER, k_probe)
         sigma = math.sqrt(bound * (1 - bound) / subset_trials)
         assert misses / subset_trials <= bound + 3 * sigma

@@ -315,6 +315,8 @@ BAD_INPUT_FILES = {
     "broken.json": b'{"n": \n',
     "binary.json": b"\xff\xfe{}\n",
     "empty.json": b"{}\n",
+    "rate0.json": b'{"surface": {"0": 100}}\n',
+    "rate-neg.json": b'{"surface": {"-1e-3": 100}}\n',
 }
 
 BAD_INPUTS = [
@@ -335,6 +337,10 @@ BAD_INPUTS = [
     (["run", "--local", "--instance", "{d}/binary.json"], 4),
     (["figure2b", "--from-results", "{d}/empty.json"], 4),
     (["estimate", "--n-list", "1e10", "--factory-config", "{d}/list.json"], 4),
+    (["estimate", "--n-list", "1e10", "--code", "surface", "--p", "1e-3",
+      "--factory-config", "{d}/rate0.json"], 4),
+    (["estimate", "--n-list", "1e10", "--code", "surface", "--p", "1e-3",
+      "--factory-config", "{d}/rate-neg.json"], 4),
     (["serve", "--n", "8", "--port", "99999"], 2),
     (["run", "--endpoint", "127.0.0.1:1", "--n", "8", "--shots", "1", "--retries", "-1"], 2),
     (["run", "--local", "--n", "8", "--shots", "0"], 2),

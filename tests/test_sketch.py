@@ -1,13 +1,16 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import hmstream.sketch
 from hmstream.compiler import tally_ops
-from hmstream.errors import DomainError
+from hmstream.errors import DomainError, SimulationError
+from hmstream.instances import generate, to_stream
+from hmstream.runners import run_quantum_shot
 from hmstream.sketch import PairSketch
-from hmstream.statevector import PvmOutcome, apply, shot_rng
+from hmstream.statevector import NoiseConfig, PvmOutcome, apply, shot_rng
 
 
 def bits(text):
@@ -48,6 +51,22 @@ def emitted(monkeypatch):
 
     monkeypatch.setattr(hmstream.sketch, "apply", record)
     return ops
+
+
+GATE_REFERENCE = PairSketch._query_pair_gates
+
+
+@pytest.fixture
+def reruns(monkeypatch):
+    """(a, b) of every query that fell back to the gate-level reference."""
+    calls = []
+
+    def counted(self, a, b, *args):
+        calls.append((a, b))
+        return GATE_REFERENCE(self, a, b, *args)
+
+    monkeypatch.setattr(PairSketch, "_query_pair_gates", counted)
+    return calls
 
 
 def random_vector(width, seed):
@@ -137,21 +156,28 @@ class TestQueryOne:
 
 class TestQueryPair:
     def test_plus_state_yields_plus(self):
-        sketch = PairSketch.create(3, [bits("010"), bits("110")])
-        assert sketch.query_pair(bits("010"), bits("110"), shot_rng(0, 0)) is PvmOutcome.PLUS
-        vec = sketch.sketch_vector()
-        expected = indicator_vector([bits("010"), bits("110")], 3)
-        phase = np.vdot(expected, vec)
-        assert np.abs(vec - phase * expected).max() <= 1e-9
+        for width, pair in ((3, ("010", "110")), (1, ("0", "1"))):
+            a, b = (bits(e) for e in pair)
+            sketch = PairSketch.create(width, [a, b])
+            assert sketch.query_pair(a, b, shot_rng(0, 0)) is PvmOutcome.PLUS
+            vec = sketch.sketch_vector()
+            expected = indicator_vector([a, b], width)
+            phase = np.vdot(expected, vec)
+            assert np.abs(vec - phase * expected).max() <= 1e-9
 
     def test_orthogonal_state_yields_zero_unchanged(self):
-        sketch = PairSketch.create(3, [bits("001"), bits("111")])
-        before = sketch.sketch_vector()
-        assert sketch.query_pair(bits("010"), bits("100"), shot_rng(0, 1)) is PvmOutcome.ZERO
-        after = sketch.sketch_vector()
-        phase = np.vdot(before, after)
-        assert abs(abs(phase) - 1.0) <= 1e-9
-        assert np.abs(after - phase * before).max() <= 1e-9
+        for elems, pair in ((("001", "111"), ("010", "100")), (("01", "11"), ("00", "10"))):
+            sketch = PairSketch.create(len(pair[0]), [bits(e) for e in elems])
+            before = sketch.sketch_vector()
+            out = sketch.query_pair(*(bits(e) for e in pair), shot_rng(0, 1))
+            assert out is PvmOutcome.ZERO
+            assert np.abs(sketch.sketch_vector() - before).max() <= 1e-12
+
+    def test_overweight_pair_raises(self):
+        sketch = PairSketch.create(1, [0])
+        sketch.state.amps *= 2.0  # deliberately unnormalized
+        with pytest.raises(SimulationError):
+            sketch.query_pair(0, 1, shot_rng(0, 2))
 
     def test_uniform_eight_probabilities_match_projectors(self):
         sketch = PairSketch.create(3, range(8))
@@ -186,16 +212,66 @@ class TestQueryPair:
             assert np.abs(got - phase * proj).max() <= 1e-9
 
     def test_gate_budget(self, emitted):
+        # the compiled circuit is the gate-level reference; query_pair samples it
         k = 4
         for trial in range(30):
             sketch = PairSketch.create(k, range(16))
             emitted.clear()
-            sketch.query_pair(bits("0000"), bits("1111"), shot_rng(21, trial))
+            sketch._query_pair_gates(bits("0000"), bits("1111"), shot_rng(21, trial))
             used = tally_ops(emitted)
-            assert used.h <= 2
+            assert used.h == 2
             assert used.cnot <= 2 * k
             assert used.x <= 2
-            assert used.mcx.get(k, 0) <= 2
+            assert 1 <= used.mcx.get(k, 0) <= 2
+
+    @pytest.mark.parametrize("width", [2, 3, 4, 5, 6])
+    def test_sampled_matches_gate_reference(self, width):
+        rng = np.random.default_rng(200 + width)
+        for trial in range(60):
+            a, b = (int(e) for e in rng.choice(1 << width, size=2, replace=False))
+            vec = random_vector(width, seed=int(rng.integers(1 << 30)))
+            sampled, reference = PairSketch.create(width, [0]), PairSketch.create(width, [0])
+            set_sketch_vector(sampled, vec)
+            set_sketch_vector(reference, vec)
+            got = sampled.query_pair(a, b, shot_rng(41, trial))
+            want = GATE_REFERENCE(reference, a, b, shot_rng(41, trial))
+            assert got is want
+            assert np.abs(sampled.state.amps - reference.state.amps).max() <= 1e-12
+            assert sampled.state.norm_squared() == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n", [8, 16])
+    @pytest.mark.parametrize("p", [1e-3, 5e-2])
+    def test_noisy_shots_match_gate_reference(self, monkeypatch, reruns, n, p):
+        noise = NoiseConfig(p)
+        streams = [to_stream(generate(n, Fraction(1, 4), case, seed=60 + n))
+                   for case in ("yes", "no")]
+
+        def shots():
+            return [run_quantum_shot(iter(streams[i % 2]), n, shot_rng(51, i), noise)
+                    for i in range(150)]
+
+        sampled = shots()
+        assert reruns
+        monkeypatch.setattr(PairSketch, "query_pair", GATE_REFERENCE)
+        assert sampled == shots()
+
+    def test_distinct_noise_and_measurement_generators(self, reruns):
+        width, p = 4, 5e-2
+        for trial in range(40):
+            sketches = [PairSketch.create(width, range(1 << width), noise=NoiseConfig(p),
+                                          noise_rng=shot_rng(61, trial)) for _ in range(2)]
+            rng = [shot_rng(62, trial) for _ in range(2)]
+            pairs = np.random.default_rng(trial).choice(1 << width, size=(6, 2))
+            for a, b in pairs:
+                if a == b:
+                    continue
+                got = sketches[0].query_pair(int(a), int(b), rng[0])
+                want = GATE_REFERENCE(sketches[1], int(a), int(b), rng[1])
+                assert got is want
+                assert np.abs(sketches[0].state.amps - sketches[1].state.amps).max() <= 1e-12
+                if got is not PvmOutcome.ZERO:
+                    break
+        assert reruns
 
     def test_probabilities_sum_to_one(self):
         sketch = PairSketch.create(4, [bits("0010"), bits("0111"), bits("1001")])

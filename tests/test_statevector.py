@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hmstream.errors import CapacityError, DomainError, SimulationError
+from hmstream.errors import CapacityError, DomainError
 from hmstream.statevector import (
     GateOp,
     QuantumState,
@@ -13,14 +15,13 @@ from hmstream.statevector import (
     h,
     inject_depolarizing,
     measure_and_reset,
-    measure_pvm,
     measure_qubit,
     mcx,
     pair_pvm_probabilities,
     projector_probability,
     shot_rng,
     x,
-    PvmOutcome,
+    _controlled_pairs,
 )
 
 INV_SQRT2 = 1 / np.sqrt(2)
@@ -87,6 +88,15 @@ class TestApply:
             GateOp("nope", 0)
 
 
+def test_controlled_pairs_cache_is_bounded():
+    bound = _controlled_pairs.cache_parameters()["maxsize"]
+    assert bound is not None
+    m = 14
+    for bits in itertools.islice(itertools.product((0, 1), repeat=m - 1), bound + 100):
+        _controlled_pairs(m, m - 1, tuple(enumerate(bits)))
+    assert _controlled_pairs.cache_info().currsize <= bound
+
+
 class TestProjector:
     def test_projector_onto_state_itself(self):
         state = apply(allocate(1), h(0))
@@ -111,17 +121,6 @@ class TestProjector:
 
 
 class TestMeasurePvm:
-    def test_plus_state_yields_plus(self):
-        state = apply(allocate(1), h(0))
-        assert measure_pvm(state, 0, 1, shot_rng(0, 0)) is PvmOutcome.PLUS
-
-    def test_orthogonal_state_yields_zero_and_is_unchanged(self):
-        state = allocate(2)
-        state.amps[:] = [0, 0, INV_SQRT2, INV_SQRT2]
-        before = state.amps.copy()
-        assert measure_pvm(state, 0, 1, shot_rng(0, 1)) is PvmOutcome.ZERO
-        assert np.allclose(state.amps, before)
-
     def test_uniform_state_probabilities(self):
         state = allocate(3)
         state.amps[:] = 1 / np.sqrt(8)
@@ -129,21 +128,6 @@ class TestMeasurePvm:
         assert p_plus == pytest.approx(0.25, abs=1e-12)
         assert p_minus == pytest.approx(0.0, abs=1e-12)
         assert p_plus + p_minus + p_zero == pytest.approx(1.0, abs=1e-12)
-
-    def test_completeness_violation_raises(self):
-        state = allocate(2)
-        state.amps *= 2.0  # deliberately unnormalized
-        with pytest.raises(SimulationError):
-            measure_pvm(state, 0, 1, shot_rng(0, 2))
-
-    def test_post_states_renormalized(self):
-        rng = shot_rng(12, 0)
-        for trial in range(20):
-            state = allocate(3)
-            amps = shot_rng(trial, 1).normal(size=8) + 1j * shot_rng(trial, 2).normal(size=8)
-            state.amps[:] = amps / np.linalg.norm(amps)
-            measure_pvm(state, 2, 4, rng)
-            assert state.norm_squared() == pytest.approx(1.0, abs=1e-10)
 
 
 class TestMeasureQubit:
