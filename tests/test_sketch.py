@@ -156,22 +156,19 @@ class TestQueryOne:
 
 class TestQueryPair:
     def test_plus_state_yields_plus(self):
-        for width, pair in ((3, ("010", "110")), (1, ("0", "1"))):
-            a, b = (bits(e) for e in pair)
-            sketch = PairSketch.create(width, [a, b])
-            assert sketch.query_pair(a, b, shot_rng(0, 0)) is PvmOutcome.PLUS
-            vec = sketch.sketch_vector()
-            expected = indicator_vector([a, b], width)
-            phase = np.vdot(expected, vec)
-            assert np.abs(vec - phase * expected).max() <= 1e-9
+        a, b = bits("010"), bits("110")
+        sketch = PairSketch.create(3, [a, b])
+        assert sketch.query_pair(a, b, shot_rng(0, 0)) is PvmOutcome.PLUS
+        vec = sketch.sketch_vector()
+        expected = indicator_vector([a, b], 3)
+        phase = np.vdot(expected, vec)
+        assert np.abs(vec - phase * expected).max() <= 1e-9
 
     def test_orthogonal_state_yields_zero_unchanged(self):
-        for elems, pair in ((("001", "111"), ("010", "100")), (("01", "11"), ("00", "10"))):
-            sketch = PairSketch.create(len(pair[0]), [bits(e) for e in elems])
-            before = sketch.sketch_vector()
-            out = sketch.query_pair(*(bits(e) for e in pair), shot_rng(0, 1))
-            assert out is PvmOutcome.ZERO
-            assert np.abs(sketch.sketch_vector() - before).max() <= 1e-12
+        sketch = PairSketch.create(3, [bits("001"), bits("111")])
+        before = sketch.sketch_vector()
+        assert sketch.query_pair(bits("010"), bits("100"), shot_rng(0, 1)) is PvmOutcome.ZERO
+        assert np.abs(sketch.sketch_vector() - before).max() <= 1e-12
 
     def test_overweight_pair_raises(self):
         sketch = PairSketch.create(1, [0])

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hmstream.errors import CapacityError, DomainError
+from hmstream.sketch import PairSketch
 from hmstream.statevector import (
     GateOp,
     QuantumState,
@@ -21,6 +22,7 @@ from hmstream.statevector import (
     projector_probability,
     shot_rng,
     x,
+    PvmOutcome,
     _controlled_pairs,
 )
 
@@ -121,6 +123,20 @@ class TestProjector:
 
 
 class TestMeasurePvm:
+    # PairSketch.query_pair is the three-outcome PVM sampler over a state's
+    # basis indices; elements 0 and 1 are the basis states |0> and |1>.
+    def test_plus_state_yields_plus(self):
+        sketch = PairSketch.create(1, [0, 1])
+        assert np.allclose(sketch.sketch_vector(), [INV_SQRT2, INV_SQRT2])
+        assert sketch.query_pair(0, 1, shot_rng(0, 0)) is PvmOutcome.PLUS
+
+    def test_orthogonal_state_yields_zero_and_is_unchanged(self):
+        sketch = PairSketch.create(2, [2, 3])
+        before = sketch.sketch_vector()
+        assert np.allclose(before, [0, 0, INV_SQRT2, INV_SQRT2])
+        assert sketch.query_pair(0, 1, shot_rng(0, 1)) is PvmOutcome.ZERO
+        assert np.allclose(sketch.sketch_vector(), before)
+
     def test_uniform_state_probabilities(self):
         state = allocate(3)
         state.amps[:] = 1 / np.sqrt(8)
